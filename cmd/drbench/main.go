@@ -13,443 +13,362 @@
 //	drbench -cachesweep -json BENCH_cachesweep.json
 //	drbench -iblsweep            # indirect-branch lookup ladder: 22 benchmarks x 6 IBL configs
 //	drbench -iblsweep -json BENCH_iblsweep.json
-//	drbench -faultstorm          # fault-injection differential: 22 benchmarks x seeds x configs
-//	drbench -faultstorm -seeds 101,202,303 -json BENCH_faultstorm.json
-//	drbench -chaosstorm          # internal-fault-injection differential: cases x chaos schedules x configs
-//	drbench -chaosstorm -chaos-seeds 101,202,303 -json BENCH_chaosstorm.json
-//	drbench -chaosstorm -chaos-sites emit,ibl-insert   # restrict the injected sites
 //	drbench -profile             # where-the-cycles-go: phase accounting + hottest fragments
 //	drbench -profile -json BENCH_profile.json
 //	drbench -profile -ring 4096 -trace-out BENCH_events.jsonl   # runtime event trace
 //	drbench -telemetry           # all telemetry on: histograms + watchdog, bit-identity checked
 //	drbench -telemetry -json BENCH_telemetry.json
 //	drbench -telemetry -trace-events trace.json   # Chrome trace-event spans; load at ui.perfetto.dev
-//	drbench -fuzz                # generative differential: 200 seeded programs x 4 configs vs native
-//	drbench -fuzz -fuzz-seeds 1000 -fuzz-ops 60 -parallel 0
-//	drbench -fuzz -fuzz-corpus repros/   # shrink and store repros for any mismatch
+//	drbench -diff verify         # transparency matrix: 22 benchmarks x 11 configs, full oracle
+//	drbench -diff eviction,ibl   # cache-eviction and IBL differentials
+//	drbench -diff faultstorm -seeds 101,202,303 -json BENCH_faultstorm.json
+//	drbench -diff chaosstorm -json BENCH_chaosstorm.json
+//	drbench -diff fuzz -fuzz-seeds 1000 -fuzz-ops 60 -parallel 0
+//	drbench -diff fuzz -fuzz-corpus repros/   # shrink and store repros for any mismatch
+//	drbench -diff fuzzchaos -fuzz-seeds 60    # generated programs under chaos + machine faults
 //	drbench -all                 # everything
-//	drbench -verify              # transparency matrix: 22 benchmarks x 11 configs
+//
+// Every -diff suite runs on one differential engine (internal/oracle.Diff):
+// cases x perturbations x configs, each runtime run compared with native.
+// With several experiments and -json, each writes <path>.<experiment>.json.
 //
 // See EXPERIMENTS.md for the paper-versus-measured discussion.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
-	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// experiment is one JSON-producing run selected on the command line.
+type experiment struct {
+	name string
+	run  func(jsonPath string) error
+}
+
+// run is drbench with its arguments and output streams; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table1     = flag.Bool("table1", false, "reproduce Table 1")
-		table2     = flag.Bool("table2", false, "reproduce Table 2")
-		figure5    = flag.Bool("figure5", false, "reproduce Figure 5")
-		cachesweep = flag.Bool("cachesweep", false, "run the cache-budget sweep (benchmarks x budget ladder)")
-		iblsweep   = flag.Bool("iblsweep", false, "run the indirect-branch lookup sweep (benchmarks x IBL configuration ladder)")
-		faultstorm = flag.Bool("faultstorm", false, "run the fault-injection differential (benchmarks x seeded schedules x cache configs)")
-		seedsFlag  = flag.String("seeds", "101,202,303", "comma-separated schedule seeds for -faultstorm")
-		chaosstorm = flag.Bool("chaosstorm", false, "run the internal-fault-injection differential (cases x seeded chaos schedules x cache configs)")
-		chaosSeeds = flag.String("chaos-seeds", "101,202,303", "comma-separated schedule seeds for -chaosstorm")
-		chaosSites = flag.String("chaos-sites", "", "comma-separated chaos site subset for -chaosstorm (empty = every site)")
-		all        = flag.Bool("all", false, "reproduce everything")
-		verify     = flag.Bool("verify", false, "run the transparency matrix: every benchmark under every configuration, checking output equality")
-		bench      = flag.String("bench", "", "comma-separated benchmark subset for -figure5 and -cachesweep")
-		parallel   = flag.Int("parallel", 1, "worker goroutines for the benchmark x config matrices; 0 means one per CPU")
-		jsonPath   = flag.String("json", "", "also write the -figure5 or -cachesweep results as JSON to this path")
-		cacheBB    = flag.Int("cache-bb", 0, "per-thread basic-block cache budget in bytes for -figure5 (0 = unbounded)")
-		cacheTrace = flag.Int("cache-trace", 0, "per-thread trace cache budget in bytes for -figure5 (0 = unbounded)")
-		adaptive   = flag.Bool("adaptive", false, "enable adaptive cache resizing for -figure5 (needs a bounded cache)")
-		iblBits    = flag.Uint("ibl-bits", 0, "initial IBL hashtable size as log2 entries for -figure5 (0 = runtime default)")
-		iblAdapt   = flag.Bool("ibl-adaptive", false, "run -figure5 on the adaptive open-address IBL hashtable instead of the paper's fixed direct-mapped table")
-		noElide    = flag.Bool("no-flags-elision", false, "disable eflags-liveness flag-save elision for -figure5 (meaningful with -ibl-adaptive)")
-		fuzzFlag   = flag.Bool("fuzz", false, "run the generative differential fuzzer: seeded programs, native vs the runtime configuration matrix")
-		fuzzSeeds  = flag.Int("fuzz-seeds", 200, "number of generator seeds for -fuzz")
-		fuzzBase   = flag.Int64("fuzz-seed-base", 1, "first generator seed for -fuzz")
-		fuzzOps    = flag.Int("fuzz-ops", 40, "statement budget per generated program for -fuzz")
-		fuzzCorpus = flag.String("fuzz-corpus", "", "directory to write shrunk repro entries to when -fuzz finds a mismatch")
-		profile    = flag.Bool("profile", false, "run the where-the-cycles-go experiment: per-phase tick accounting + per-fragment profiles")
-		topN       = flag.Int("top", 10, "hottest fragments kept per benchmark for -profile")
-		ring       = flag.Int("ring", 0, "per-thread event-trace ring size for -profile (0 = tracing off)")
-		traceOut   = flag.String("trace-out", "", "write the drained -profile event trace as JSONL to this path (implies -ring 4096 unless set)")
-		telemetry  = flag.Bool("telemetry", false, "run the live-telemetry experiment: histograms + watchdog with all instrumentation on, checked bit-identical to native")
-		traceEvs   = flag.String("trace-events", "", "write the -telemetry span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
+		table1     = fs.Bool("table1", false, "reproduce Table 1")
+		table2     = fs.Bool("table2", false, "reproduce Table 2")
+		figure5    = fs.Bool("figure5", false, "reproduce Figure 5")
+		cachesweep = fs.Bool("cachesweep", false, "run the cache-budget sweep (benchmarks x budget ladder)")
+		iblsweep   = fs.Bool("iblsweep", false, "run the indirect-branch lookup sweep (benchmarks x IBL configuration ladder)")
+		diffFlag   = fs.String("diff", "", "comma-separated differential suites to run ("+strings.Join(harness.SuiteNames(), ", ")+")")
+		seedsFlag  = fs.String("seeds", "101,202,303", "comma-separated fault and chaos schedule seeds for the faultstorm, chaosstorm and fuzzchaos suites")
+		all        = fs.Bool("all", false, "reproduce everything")
+		bench      = fs.String("bench", "", "comma-separated benchmark subset")
+		parallel   = fs.Int("parallel", 1, "worker goroutines for the matrices; 0 means one per CPU")
+		jsonPath   = fs.String("json", "", "also write the results as JSON to this path (<path>.<experiment>.json when several experiments run)")
+		cacheBB    = fs.Int("cache-bb", 0, "per-thread basic-block cache budget in bytes for -figure5 (0 = unbounded)")
+		cacheTrace = fs.Int("cache-trace", 0, "per-thread trace cache budget in bytes for -figure5 (0 = unbounded)")
+		adaptive   = fs.Bool("adaptive", false, "enable adaptive cache resizing for -figure5 (needs a bounded cache)")
+		iblBits    = fs.Uint("ibl-bits", 0, "initial IBL hashtable size as log2 entries for -figure5 (0 = runtime default)")
+		iblAdapt   = fs.Bool("ibl-adaptive", false, "run -figure5 on the adaptive open-address IBL hashtable instead of the paper's fixed direct-mapped table")
+		noElide    = fs.Bool("no-flags-elision", false, "disable eflags-liveness flag-save elision for -figure5 (meaningful with -ibl-adaptive)")
+		fuzzSeeds  = fs.Int("fuzz-seeds", 200, "number of generator seeds for the fuzz suites")
+		fuzzBase   = fs.Int64("fuzz-seed-base", 1, "first generator seed for the fuzz suites")
+		fuzzOps    = fs.Int("fuzz-ops", 40, "statement budget per generated program for the fuzz suites")
+		fuzzCorpus = fs.String("fuzz-corpus", "", "directory to write shrunk repro entries to when -diff fuzz finds a mismatch")
+		profile    = fs.Bool("profile", false, "run the where-the-cycles-go experiment: per-phase tick accounting + per-fragment profiles")
+		topN       = fs.Int("top", 10, "hottest fragments kept per benchmark for -profile")
+		ring       = fs.Int("ring", 0, "per-thread event-trace ring size for -profile (0 = tracing off)")
+		traceOut   = fs.String("trace-out", "", "write the drained -profile event trace as JSONL to this path (implies -ring 4096 unless set)")
+		telemetry  = fs.Bool("telemetry", false, "run the live-telemetry experiment: histograms + watchdog with all instrumentation on, checked bit-identical to native")
+		traceEvs   = fs.String("trace-events", "", "write the -telemetry span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
 	)
-	flag.Parse()
-	if !*table1 && !*table2 && !*figure5 && !*cachesweep && !*iblsweep && !*faultstorm && !*chaosstorm && !*fuzzFlag && !*profile && !*telemetry && !*all && !*verify {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "drbench:", err)
+		return 1
 	}
 
-	if *verify {
-		runVerify()
+	suites, err := resolveSuites(*diffFlag)
+	if err != nil {
+		return fail(err)
 	}
-
-	if *table1 || *all {
-		fmt.Print(harness.FormatTable1(harness.Table1()))
-		fmt.Println()
+	if *all {
+		suites = harness.SuiteNames()
 	}
-	if *table2 || *all {
-		fmt.Print(harness.FormatTable2(harness.Table2()))
-		fmt.Println()
+	if !*table1 && !*table2 && !*figure5 && !*cachesweep && !*iblsweep && len(suites) == 0 && !*profile && !*telemetry {
+		fs.Usage()
+		return 2
 	}
-
 	var names []string
 	if *bench != "" {
 		names = strings.Split(*bench, ",")
 	}
 	benches, err := benchList(names)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "drbench:", err)
-		os.Exit(1)
+		return fail(err)
+	}
+	seeds, err := parseSeeds(*seedsFlag)
+	if err != nil {
+		return fail(err)
+	}
+	if *fuzzSeeds <= 0 {
+		return fail(errors.New("-fuzz-seeds must be positive"))
 	}
 
-	figure5JSONWritten := false
+	if *table1 || *all {
+		fmt.Fprintln(stdout, harness.FormatTable1(harness.Table1()))
+	}
+	if *table2 || *all {
+		fmt.Fprintln(stdout, harness.FormatTable2(harness.Table2()))
+	}
+
+	// save writes an experiment's JSON artifact when -json asked for one.
+	save := func(path string, n int, elapsed time.Duration, v any) error {
+		if path == "" {
+			return nil
+		}
+		if err := writeJSON(path, v); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d benchmarks, %.2fs wall clock)\n", path, n, elapsed.Seconds())
+		return nil
+	}
+
+	var exps []experiment
 	if *figure5 || *all {
-		// Figure 5 measures the paper's base system (fixed direct-mapped
-		// IBL, no flag-save elision); the -ibl-* flags rerun it on the new
-		// indirect-branch fast path.
-		opts := harness.Figure5Options()
-		opts.BBCacheSize = *cacheBB
-		opts.TraceCacheSize = *cacheTrace
-		opts.AdaptiveCache = *adaptive
-		if *iblBits != 0 {
-			opts.IBLTableBits = *iblBits
-		}
-		if *iblAdapt {
-			opts.IBLDirectMapped = false
-			opts.IBLAdaptive = true
-			opts.FlagsElision = !*noElide
-		}
-		start := time.Now()
-		rows, err := harness.RunMatrix(*parallel, benches, opts)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("figure5", len(rows))
-		fmt.Print(harness.FormatFigure5(rows))
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
+		exps = append(exps, experiment{"figure5", func(path string) error {
+			// Figure 5 measures the paper's base system (fixed direct-mapped
+			// IBL, no flag-save elision); the -ibl-* flags rerun it on the
+			// new indirect-branch fast path.
+			opts := harness.Figure5Options()
+			opts.BBCacheSize, opts.TraceCacheSize, opts.AdaptiveCache = *cacheBB, *cacheTrace, *adaptive
+			if *iblBits != 0 {
+				opts.IBLTableBits = *iblBits
 			}
-			figure5JSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", *jsonPath, len(rows), elapsed.Seconds())
-		}
+			if *iblAdapt {
+				opts.IBLDirectMapped, opts.IBLAdaptive, opts.FlagsElision = false, true, !*noElide
+			}
+			start := time.Now()
+			rows, err := harness.RunMatrix(*parallel, benches, opts)
+			elapsed := time.Since(start)
+			if err = requireResults(err, len(rows)); err != nil {
+				return err
+			}
+			fmt.Fprint(stdout, harness.FormatFigure5(rows))
+			return save(path, len(rows), elapsed, figure5JSON(rows, *parallel, elapsed))
+		}})
 	}
-
-	cachesweepJSONWritten := false
 	if *cachesweep || *all {
-		points := harness.DefaultSweep()
-		start := time.Now()
-		rows, err := harness.CacheSweep(*parallel, benches, points)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("cachesweep", len(rows))
-		fmt.Print(harness.FormatCacheSweep(points, rows))
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten {
-				path += ".cachesweep.json" // both matrices requested: keep both files
+		exps = append(exps, experiment{"cachesweep", func(path string) error {
+			points := harness.DefaultSweep()
+			start := time.Now()
+			rows, err := harness.CacheSweep(*parallel, benches, points)
+			elapsed := time.Since(start)
+			if err = requireResults(err, len(rows)); err != nil {
+				return err
 			}
-			if err := writeSweepJSON(path, points, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			cachesweepJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
+			fmt.Fprint(stdout, harness.FormatCacheSweep(points, rows))
+			return save(path, len(rows), elapsed, cacheSweepJSON(points, rows, *parallel, elapsed))
+		}})
 	}
-
-	iblsweepJSONWritten := false
 	if *iblsweep || *all {
-		points := harness.DefaultIBLSweep()
-		start := time.Now()
-		rows, err := harness.IBLSweep(*parallel, benches, points)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("iblsweep", len(rows))
-		fmt.Print(harness.FormatIBLSweep(points, rows))
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten {
-				path += ".iblsweep.json" // several matrices requested: keep all files
+		exps = append(exps, experiment{"iblsweep", func(path string) error {
+			points := harness.DefaultIBLSweep()
+			start := time.Now()
+			rows, err := harness.IBLSweep(*parallel, benches, points)
+			elapsed := time.Since(start)
+			if err = requireResults(err, len(rows)); err != nil {
+				return err
 			}
-			if err := writeIBLSweepJSON(path, points, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			iblsweepJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
+			fmt.Fprint(stdout, harness.FormatIBLSweep(points, rows))
+			return save(path, len(rows), elapsed, iblSweepJSON(points, rows, *parallel, elapsed))
+		}})
 	}
-
-	faultstormJSONWritten := false
-	if *faultstorm || *all {
-		seeds, err := parseSeeds(*seedsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		configs := harness.DefaultStormConfigs()
-		start := time.Now()
-		rows, err := harness.FaultStorm(*parallel, benches, seeds, configs)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("faultstorm", len(rows))
-		fmt.Print(harness.FormatFaultStorm(seeds, configs, rows))
-		failed := false
-		for _, r := range rows {
-			if !r.Passed() {
-				failed = true
-			}
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten {
-				path += ".faultstorm.json" // several matrices requested: keep all files
-			}
-			if err := writeStormJSON(path, seeds, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			faultstormJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-		if failed {
-			os.Exit(1)
-		}
+	params := harness.SuiteParams{
+		Benches:   benches,
+		Seeds:     seeds,
+		FuzzSeeds: harness.SeedRange(*fuzzBase, *fuzzSeeds),
+		FuzzOps:   *fuzzOps,
 	}
-
-	if *chaosstorm || *all {
-		seeds, err := parseSeeds(*chaosSeeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		sites, err := parseSites(*chaosSites)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		configs := harness.DefaultChaosConfigs()
-		start := time.Now()
-		rows, err := harness.ChaosStorm(*parallel, benches, seeds, sites, configs)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("chaosstorm", len(rows))
-		fmt.Print(harness.FormatChaosStorm(seeds, configs, rows))
-		failed := false
-		for _, r := range rows {
-			if !r.Passed() {
-				failed = true
-			}
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten || faultstormJSONWritten {
-				path += ".chaosstorm.json" // several matrices requested: keep all files
-			}
-			if err := writeChaosJSON(path, seeds, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d cases, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-		if failed {
-			os.Exit(1)
-		}
+	for _, name := range suites {
+		exps = append(exps, experiment{name, func(path string) error {
+			return runDiff(stdout, name, params, *parallel, path, *fuzzCorpus)
+		}})
 	}
-
-	if *fuzzFlag || *all {
-		if *fuzzSeeds <= 0 {
-			fmt.Fprintln(os.Stderr, "drbench: -fuzz-seeds must be positive")
-			os.Exit(1)
-		}
-		seeds := make([]int64, *fuzzSeeds)
-		for i := range seeds {
-			seeds[i] = *fuzzBase + int64(i)
-		}
-		start := time.Now()
-		reports, err := fuzz.Campaign(*parallel, seeds, *fuzzOps, nil)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("fuzz", len(reports))
-		var failing []*fuzz.Report
-		stmts, faults := 0, 0
-		for _, r := range reports {
-			stmts += r.Stmts
-			if r.Fault {
-				faults++
-			}
-			if !r.Passed() {
-				failing = append(failing, r)
-			}
-		}
-		configs := fuzz.Configs()
-		fmt.Printf("fuzz: %d programs (seeds %d..%d, %d stmts, %d with fault sites) x %d configs: %d mismatching (%.2fs wall clock)\n",
-			len(reports), *fuzzBase, *fuzzBase+int64(*fuzzSeeds)-1, stmts, faults, len(configs), len(failing), elapsed.Seconds())
-		for _, r := range failing {
-			mm, _ := r.FirstMismatch()
-			fmt.Printf("  seed %d under %s: %s\n", r.Seed, mm.Config, mm.Mismatch)
-		}
-		if len(failing) > 0 && *fuzzCorpus != "" {
-			for _, r := range failing {
-				p := fuzz.Generate(r.Seed, *fuzzOps)
-				stillFails := func(q *fuzz.Prog) bool {
-					rep, err := fuzz.Check(q, nil)
-					return err == nil && !rep.Passed()
-				}
-				shrunk := fuzz.Shrink(p, stillFails, 0)
-				mm, _ := r.FirstMismatch()
-				e := &fuzz.Entry{
-					Name:     fmt.Sprintf("fuzz-seed%d", r.Seed),
-					Note:     fmt.Sprintf("shrunk from %d statements by drbench -fuzz", p.NumStmts()),
-					Config:   mm.Config,
-					Mismatch: mm.Mismatch,
-					Prog:     *shrunk,
-				}
-				if err := fuzz.WriteEntry(*fuzzCorpus, e); err != nil {
-					fmt.Fprintln(os.Stderr, "drbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("  wrote %s/%s.json (%d statements)\n", *fuzzCorpus, e.Name, shrunk.NumStmts())
-			}
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten {
-				path += ".fuzz.json" // several matrices requested: keep all files
-			}
-			if err := writeFuzzJSON(path, *fuzzBase, *fuzzOps, reports, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d programs, %.2fs wall clock)\n", path, len(reports), elapsed.Seconds())
-		}
-		if len(failing) > 0 {
-			os.Exit(1)
-		}
-	}
-
-	profileJSONWritten := false
 	if *profile || *all {
-		ringSize := *ring
-		if *traceOut != "" && ringSize == 0 {
-			ringSize = 4096
-		}
-		start := time.Now()
-		rows, err := harness.Profile(*parallel, *topN, ringSize, benches)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("profile", len(rows))
-		fmt.Print(harness.FormatProfile(rows))
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten {
-				path += ".profile.json" // several matrices requested: keep all files
+		exps = append(exps, experiment{"profile", func(path string) error {
+			ringSize := *ring
+			if *traceOut != "" && ringSize == 0 {
+				ringSize = 4096
 			}
-			if err := writeProfileJSON(path, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
+			start := time.Now()
+			rows, err := harness.Profile(*parallel, *topN, ringSize, benches)
+			elapsed := time.Since(start)
+			if err = requireResults(err, len(rows)); err != nil {
+				return err
 			}
-			profileJSONWritten = true
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
-		}
-		if *traceOut != "" {
+			fmt.Fprint(stdout, harness.FormatProfile(rows))
+			if err := save(path, len(rows), elapsed, profileJSON(rows, *parallel, elapsed)); err != nil || *traceOut == "" {
+				return err
+			}
 			if err := writeTraceJSONL(*traceOut, rows); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
+				return err
 			}
 			n, dropped := 0, uint64(0)
 			for _, r := range rows {
 				n += len(r.Events)
 				dropped += r.EventsDropped
 			}
-			fmt.Printf("wrote %s (%d events, %d dropped by the rings)\n", *traceOut, n, dropped)
-		}
+			fmt.Fprintf(stdout, "wrote %s (%d events, %d dropped by the rings)\n", *traceOut, n, dropped)
+			return nil
+		}})
+	}
+	if *telemetry || *all {
+		exps = append(exps, experiment{"telemetry", func(path string) error {
+			var traceW io.Writer
+			if *traceEvs != "" {
+				f, err := os.Create(*traceEvs)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				traceW = f
+			}
+			start := time.Now()
+			rows, err := harness.Telemetry(*parallel, benches, traceW)
+			elapsed := time.Since(start)
+			if err = requireResults(err, len(rows)); err != nil {
+				return err
+			}
+			fmt.Fprint(stdout, harness.FormatTelemetry(rows))
+			if *traceEvs != "" {
+				fmt.Fprintf(stdout, "wrote %s (Chrome trace-event JSON; load at ui.perfetto.dev)\n", *traceEvs)
+			}
+			return save(path, len(rows), elapsed, telemetryJSON(rows, *parallel, elapsed))
+		}})
 	}
 
-	if *telemetry || *all {
-		var traceW io.Writer
-		var traceFile *os.File
-		if *traceEvs != "" {
-			f, err := os.Create(*traceEvs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			traceFile = f
-			traceW = f
-		}
-		start := time.Now()
-		rows, err := harness.Telemetry(*parallel, benches, traceW)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drbench:", err)
-			os.Exit(1)
-		}
-		requireResults("telemetry", len(rows))
-		fmt.Print(harness.FormatTelemetry(rows))
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (Chrome trace-event JSON; load at ui.perfetto.dev)\n", *traceEvs)
-		}
-		if *jsonPath != "" {
-			path := *jsonPath
-			if figure5JSONWritten || cachesweepJSONWritten || iblsweepJSONWritten || faultstormJSONWritten || profileJSONWritten {
-				path += ".telemetry.json" // several matrices requested: keep all files
-			}
-			if err := writeTelemetryJSON(path, rows, *parallel, elapsed); err != nil {
-				fmt.Fprintln(os.Stderr, "drbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d benchmarks, %.2fs wall clock)\n", path, len(rows), elapsed.Seconds())
+	status := 0
+	for _, e := range exps {
+		if err := e.run(experimentPath(*jsonPath, e.name, len(exps))); err != nil {
+			status = fail(fmt.Errorf("%s: %w", e.name, err))
 		}
 	}
+	return status
+}
+
+// experimentPath is where an experiment writes its JSON: the -json path
+// itself when it is the only experiment selected, else
+// <path>.<experiment>.json, so no experiment overwrites another's file.
+func experimentPath(base, experiment string, selected int) string {
+	if base == "" || selected <= 1 {
+		return base
+	}
+	return base + "." + experiment + ".json"
+}
+
+// resolveSuites parses the -diff list, rejecting unknown suite names before
+// anything runs.
+func resolveSuites(spec string) ([]string, error) {
+	if strings.TrimSpace(spec) == "" {
+		return nil, nil
+	}
+	var suites []string
+	for _, part := range strings.Split(spec, ",") {
+		name := strings.TrimSpace(part)
+		if !slices.Contains(harness.SuiteNames(), name) {
+			return nil, fmt.Errorf("unknown -diff suite %q (have %s)", name, strings.Join(harness.SuiteNames(), ", "))
+		}
+		if !slices.Contains(suites, name) {
+			suites = append(suites, name)
+		}
+	}
+	return suites, nil
+}
+
+// runDiff runs one differential suite, prints its matrix, writes its JSON
+// and, for the fuzz suite with a corpus directory, shrinks every failing
+// program into a repro entry. Any failing run or coverage gap is an error.
+func runDiff(w io.Writer, name string, p harness.SuiteParams, workers int, path, corpus string) error {
+	s, err := harness.NewSuite(name, p)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	outs, runErr := s.Run(workers)
+	elapsed := time.Since(start)
+	fmt.Fprint(w, harness.FormatDiff(s, outs))
+	checkErr := s.Check(outs)
+	if name == "fuzz" && corpus != "" {
+		if err := shrinkFailures(w, s, outs, p, corpus); err != nil {
+			return err
+		}
+	}
+	if path != "" {
+		if err := writeJSON(path, diffJSON(s, outs, checkErr, workers, elapsed)); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s (%d runs, %.2fs wall clock)\n", path, len(outs), elapsed.Seconds())
+	}
+	if runErr != nil {
+		return runErr
+	}
+	return checkErr
+}
+
+// shrinkFailures shrinks each failing fuzz program against the suite's
+// matrix and stores the minimal repro in the corpus directory.
+func shrinkFailures(w io.Writer, s *harness.Suite, outs []oracle.Outcome, p harness.SuiteParams, corpus string) error {
+	perCase := len(s.Configs)
+	for i, seed := range p.FuzzSeeds {
+		var first *oracle.Outcome
+		for k := i * perCase; k < (i+1)*perCase; k++ {
+			if outs[k].Failure() != "" {
+				first = &outs[k]
+				break
+			}
+		}
+		if first == nil {
+			continue
+		}
+		prog := fuzz.Generate(seed, p.FuzzOps)
+		shrunk := fuzz.Shrink(prog, func(q *fuzz.Prog) bool { return fuzz.Diverges(q, s.Configs) }, 0)
+		e := &fuzz.Entry{
+			Name:     fmt.Sprintf("fuzz-seed%d", seed),
+			Note:     fmt.Sprintf("shrunk from %d statements by drbench -diff fuzz", prog.NumStmts()),
+			Config:   first.Config,
+			Mismatch: first.Failure(),
+			Prog:     *shrunk,
+		}
+		if err := fuzz.WriteEntry(corpus, e); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  wrote %s/%s.json (%d statements)\n", corpus, e.Name, shrunk.NumStmts())
+	}
+	return nil
 }
 
 // requireResults enforces that a requested experiment measured something:
 // an empty result set means the run silently did no work, which must fail
 // loudly rather than produce an empty artifact.
-func requireResults(experiment string, n int) {
-	if n == 0 {
-		fmt.Fprintf(os.Stderr, "drbench: %s produced zero workload results\n", experiment)
-		os.Exit(1)
+func requireResults(err error, n int) error {
+	if err == nil && n == 0 {
+		return errors.New("produced zero workload results")
 	}
+	return err
 }
 
 func parseSeeds(s string) ([]int64, error) {
@@ -462,23 +381,6 @@ func parseSeeds(s string) ([]int64, error) {
 		seeds = append(seeds, v)
 	}
 	return seeds, nil
-}
-
-// parseSites resolves a comma-separated chaos site list; empty means every
-// site (ChaosStorm interprets nil as all).
-func parseSites(s string) ([]chaos.Site, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var sites []chaos.Site
-	for _, part := range strings.Split(s, ",") {
-		site, ok := chaos.ParseSite(strings.TrimSpace(part))
-		if !ok {
-			return nil, fmt.Errorf("unknown chaos site %q", part)
-		}
-		sites = append(sites, site)
-	}
-	return sites, nil
 }
 
 func benchList(names []string) ([]*workload.Benchmark, error) {
@@ -494,466 +396,4 @@ func benchList(names []string) ([]*workload.Benchmark, error) {
 		benches = append(benches, b)
 	}
 	return benches, nil
-}
-
-// benchJSON is the file layout of -figure5 -json: the Figure 5 series plus
-// enough run metadata (worker count, wall clock, simulated cycle totals) to
-// track harness performance across revisions.
-type benchJSON struct {
-	Schema              string    `json:"schema"`
-	Workers             int       `json:"workers"`
-	WallClockSeconds    float64   `json:"wall_clock_seconds"`
-	TotalSimulatedCycle uint64    `json:"total_simulated_cycles"`
-	Configs             []string  `json:"configs"`
-	Rows                []rowJSON `json:"rows"`
-	Means               meansJSON `json:"means"`
-}
-
-type rowJSON struct {
-	Benchmark  string    `json:"benchmark"`
-	Class      string    `json:"class"`
-	Normalized []float64 `json:"normalized"`
-	Cycles     []uint64  `json:"cycles"`
-}
-
-type meansJSON struct {
-	FP  []float64 `json:"fp"`
-	Int []float64 `json:"int"`
-	All []float64 `json:"all"`
-}
-
-func writeJSON(path string, rows []harness.Figure5Row, workers int, elapsed time.Duration) error {
-	out := benchJSON{
-		Schema:           "drbench/figure5/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-	}
-	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-		out.Configs = append(out.Configs, c.String())
-	}
-	for _, r := range rows {
-		row := rowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-			row.Normalized = append(row.Normalized, r.Normalized[c])
-			cycles := r.Ticks[c].Cycles()
-			row.Cycles = append(row.Cycles, cycles)
-			out.TotalSimulatedCycle += cycles
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	m := harness.Means(rows)
-	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-		out.Means.FP = append(out.Means.FP, m.FP[c])
-		out.Means.Int = append(out.Means.Int, m.Int[c])
-		out.Means.All = append(out.Means.All, m.All[c])
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// fuzzJSON is the file layout of -fuzz -json: one row per generated program
-// with its per-configuration verdicts, so CI can archive exactly which seeds
-// ran and which diverged.
-type fuzzJSON struct {
-	Schema           string         `json:"schema"`
-	Workers          int            `json:"workers"`
-	WallClockSeconds float64        `json:"wall_clock_seconds"`
-	SeedBase         int64          `json:"seed_base"`
-	MaxOps           int            `json:"max_ops"`
-	Configs          []string       `json:"configs"`
-	Programs         int            `json:"programs"`
-	Mismatching      int            `json:"mismatching"`
-	Reports          []*fuzz.Report `json:"reports"`
-}
-
-func writeFuzzJSON(path string, seedBase int64, maxOps int, reports []*fuzz.Report, workers int, elapsed time.Duration) error {
-	out := fuzzJSON{
-		Schema:           "drbench/fuzz/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		SeedBase:         seedBase,
-		MaxOps:           maxOps,
-		Programs:         len(reports),
-		Reports:          reports,
-	}
-	for _, c := range fuzz.Configs() {
-		out.Configs = append(out.Configs, c.Name)
-	}
-	for _, r := range reports {
-		if !r.Passed() {
-			out.Mismatching++
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// sweepJSON is the file layout of -cachesweep -json: per (benchmark, budget)
-// normalized time plus the cache-management counters that explain it.
-type sweepJSON struct {
-	Schema           string         `json:"schema"`
-	Workers          int            `json:"workers"`
-	WallClockSeconds float64        `json:"wall_clock_seconds"`
-	Points           []pointJSON    `json:"points"`
-	Rows             []sweepRowJSON `json:"rows"`
-	Means            []float64      `json:"means"`
-}
-
-type pointJSON struct {
-	Name     string `json:"name"`
-	Bytes    int    `json:"bytes"`
-	Adaptive bool   `json:"adaptive"`
-}
-
-type sweepRowJSON struct {
-	Benchmark     string    `json:"benchmark"`
-	Class         string    `json:"class"`
-	Normalized    []float64 `json:"normalized"`
-	Cycles        []uint64  `json:"cycles"`
-	Evictions     []uint64  `json:"evictions"`
-	Regenerations []uint64  `json:"regenerations"`
-	CacheResizes  []uint64  `json:"cache_resizes"`
-	BBLiveBytes   []uint64  `json:"bb_live_bytes"`
-	TrLiveBytes   []uint64  `json:"trace_live_bytes"`
-}
-
-func writeSweepJSON(path string, points []harness.CachePoint, rows []harness.CacheSweepRow, workers int, elapsed time.Duration) error {
-	out := sweepJSON{
-		Schema:           "drbench/cachesweep/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Means:            harness.CacheSweepMeans(points, rows),
-	}
-	for _, p := range points {
-		out.Points = append(out.Points, pointJSON{Name: p.Name, Bytes: p.Bytes, Adaptive: p.Adaptive})
-	}
-	for _, r := range rows {
-		row := sweepRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for _, c := range r.Cells {
-			row.Normalized = append(row.Normalized, c.Normalized)
-			row.Cycles = append(row.Cycles, c.Ticks.Cycles())
-			row.Evictions = append(row.Evictions, c.Stats.Evictions)
-			row.Regenerations = append(row.Regenerations, c.Stats.Regenerations)
-			row.CacheResizes = append(row.CacheResizes, c.Stats.CacheResizes)
-			row.BBLiveBytes = append(row.BBLiveBytes, c.Stats.BBCacheLiveBytes)
-			row.TrLiveBytes = append(row.TrLiveBytes, c.Stats.TraceCacheLiveBytes)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// iblSweepJSON is the file layout of -iblsweep -json: per (benchmark, IBL
-// configuration) the Figure-5-style normalized overhead plus the dispatcher
-// context switches an IBL hit avoids and the hashtable behaviour counters
-// (misses, probe chains, growth, displacement, elisions) that explain it.
-type iblSweepJSON struct {
-	Schema           string            `json:"schema"`
-	Workers          int               `json:"workers"`
-	WallClockSeconds float64           `json:"wall_clock_seconds"`
-	Points           []iblPointJSON    `json:"points"`
-	Rows             []iblSweepRowJSON `json:"rows"`
-	Means            []float64         `json:"means"`
-}
-
-type iblPointJSON struct {
-	Name         string `json:"name"`
-	Bits         uint   `json:"bits"`
-	DirectMapped bool   `json:"direct_mapped"`
-	Adaptive     bool   `json:"adaptive"`
-	FlagsElision bool   `json:"flags_elision"`
-}
-
-type iblSweepRowJSON struct {
-	Benchmark          string    `json:"benchmark"`
-	Class              string    `json:"class"`
-	Normalized         []float64 `json:"normalized"`
-	Cycles             []uint64  `json:"cycles"`
-	ContextSwitches    []uint64  `json:"context_switches"`
-	IBLMisses          []uint64  `json:"ibl_misses"`
-	IBLCollisions      []uint64  `json:"ibl_collisions"`
-	IBLMaxProbe        []uint64  `json:"ibl_max_probe"`
-	IBLResizes         []uint64  `json:"ibl_resizes"`
-	IBLReplaced        []uint64  `json:"ibl_replaced"`
-	FlagsElisions      []uint64  `json:"flags_elisions"`
-	InlineChecksElided []uint64  `json:"inline_checks_elided"`
-}
-
-func writeIBLSweepJSON(path string, points []harness.IBLPoint, rows []harness.IBLSweepRow, workers int, elapsed time.Duration) error {
-	out := iblSweepJSON{
-		Schema:           "drbench/iblsweep/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Means:            harness.IBLSweepMeans(points, rows),
-	}
-	for _, p := range points {
-		out.Points = append(out.Points, iblPointJSON{
-			Name: p.Name, Bits: p.Bits, DirectMapped: p.DirectMapped,
-			Adaptive: p.Adaptive, FlagsElision: p.FlagsElision,
-		})
-	}
-	for _, r := range rows {
-		row := iblSweepRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for _, c := range r.Cells {
-			row.Normalized = append(row.Normalized, c.Normalized)
-			row.Cycles = append(row.Cycles, c.Ticks.Cycles())
-			row.ContextSwitches = append(row.ContextSwitches, c.Stats.ContextSwitches)
-			row.IBLMisses = append(row.IBLMisses, c.Stats.IBLMisses)
-			row.IBLCollisions = append(row.IBLCollisions, c.Stats.IBLCollisions)
-			row.IBLMaxProbe = append(row.IBLMaxProbe, c.Stats.IBLMaxProbe)
-			row.IBLResizes = append(row.IBLResizes, c.Stats.IBLResizes)
-			row.IBLReplaced = append(row.IBLReplaced, c.Stats.IBLReplaced)
-			row.FlagsElisions = append(row.FlagsElisions, c.Stats.FlagsElisions)
-			row.InlineChecksElided = append(row.InlineChecksElided, c.Stats.InlineChecksElided)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// stormJSON is the file layout of -faultstorm -json: per (benchmark, seed)
-// the injected plans, the native delivered-fault sequence, and each runtime
-// configuration's match verdict with the counters that prove the translation
-// and eviction paths ran.
-type stormJSON struct {
-	Schema           string             `json:"schema"`
-	Workers          int                `json:"workers"`
-	WallClockSeconds float64            `json:"wall_clock_seconds"`
-	Seeds            []int64            `json:"seeds"`
-	Rows             []harness.StormRow `json:"rows"`
-	Passed           int                `json:"passed"`
-}
-
-func writeStormJSON(path string, seeds []int64, rows []harness.StormRow, workers int, elapsed time.Duration) error {
-	out := stormJSON{
-		Schema:           "drbench/faultstorm/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Seeds:            seeds,
-		Rows:             rows,
-	}
-	for _, r := range rows {
-		if r.Passed() {
-			out.Passed++
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// chaosJSON is the file layout of -chaosstorm -json: per (case, chaos
-// schedule) the trigger recipe, the riding machine-fault plans, and each
-// runtime configuration's match verdict with the recovery-ladder counters
-// (fires, recoveries, audit failures, degrade level, re-attaches), plus the
-// suite-wide per-site fire totals CI checks for coverage.
-type chaosJSON struct {
-	Schema           string             `json:"schema"`
-	Workers          int                `json:"workers"`
-	WallClockSeconds float64            `json:"wall_clock_seconds"`
-	Seeds            []int64            `json:"seeds"`
-	SiteFires        map[string]uint64  `json:"site_fires"`
-	Reattaches       uint64             `json:"reattaches"`
-	Rows             []harness.ChaosRow `json:"rows"`
-	Passed           int                `json:"passed"`
-}
-
-func writeChaosJSON(path string, seeds []int64, rows []harness.ChaosRow, workers int, elapsed time.Duration) error {
-	out := chaosJSON{
-		Schema:           "drbench/chaos/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Seeds:            seeds,
-		SiteFires:        harness.ChaosSiteTotals(rows),
-		Reattaches:       harness.ChaosReattachTotal(rows),
-		Rows:             rows,
-	}
-	for _, r := range rows {
-		if r.Passed() {
-			out.Passed++
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// profileJSON is the file layout of -profile -json: per benchmark the
-// per-phase tick breakdown (phase_ticks sums exactly to ticks — the
-// conservation invariant CI asserts), the hottest fragments, and the cache
-// counters behind them.
-type profileJSON struct {
-	Schema           string           `json:"schema"`
-	Workers          int              `json:"workers"`
-	WallClockSeconds float64          `json:"wall_clock_seconds"`
-	Phases           []string         `json:"phases"`
-	Rows             []profileRowJSON `json:"rows"`
-}
-
-type profileRowJSON struct {
-	Benchmark  string            `json:"benchmark"`
-	Class      string            `json:"class"`
-	Ticks      uint64            `json:"ticks"`
-	Normalized float64           `json:"normalized"`
-	PhaseTicks map[string]uint64 `json:"phase_ticks"`
-
-	Fragments int                   `json:"fragments"`
-	Top       []obs.FragmentProfile `json:"top"`
-
-	BlocksBuilt uint64 `json:"blocks_built"`
-	TracesBuilt uint64 `json:"traces_built"`
-	Evictions   uint64 `json:"evictions"`
-	IBLMisses   uint64 `json:"ibl_misses"`
-
-	Events        int    `json:"events,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-}
-
-func writeProfileJSON(path string, rows []harness.ProfileRow, workers int, elapsed time.Duration) error {
-	out := profileJSON{
-		Schema:           "drbench/profile/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Phases:           obs.PhaseNames(),
-	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, profileRowJSON{
-			Benchmark:     r.Benchmark,
-			Class:         r.Class.String(),
-			Ticks:         uint64(r.Ticks),
-			Normalized:    r.Normalized,
-			PhaseTicks:    r.Phases.Map(),
-			Fragments:     r.Fragments,
-			Top:           r.Top,
-			BlocksBuilt:   r.Stats.BlocksBuilt,
-			TracesBuilt:   r.Stats.TracesBuilt,
-			Evictions:     r.Stats.Evictions,
-			IBLMisses:     r.Stats.IBLMisses,
-			Events:        len(r.Events),
-			EventsDropped: r.EventsDropped,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// telemetryJSON is the file layout of -telemetry -json: per benchmark the
-// distribution-metric digests, any watchdog detections (zero on a healthy
-// suite — CI asserts this), and the runtime counters behind them. Every row
-// in this file has already passed the bit-identity check against native.
-type telemetryJSON struct {
-	Schema           string             `json:"schema"`
-	Workers          int                `json:"workers"`
-	WallClockSeconds float64            `json:"wall_clock_seconds"`
-	Metrics          []string           `json:"metrics"`
-	Anomalies        uint64             `json:"anomalies"`
-	Rows             []telemetryRowJSON `json:"rows"`
-}
-
-type telemetryRowJSON struct {
-	Benchmark  string  `json:"benchmark"`
-	Class      string  `json:"class"`
-	Ticks      uint64  `json:"ticks"`
-	Normalized float64 `json:"normalized"`
-
-	Histograms []obs.HistogramSummary `json:"histograms"`
-	Anomalies  []obs.Anomaly          `json:"anomalies,omitempty"`
-
-	BlocksBuilt uint64 `json:"blocks_built"`
-	TracesBuilt uint64 `json:"traces_built"`
-	Evictions   uint64 `json:"evictions"`
-	IBLMisses   uint64 `json:"ibl_misses"`
-	Recoveries  uint64 `json:"recoveries"`
-}
-
-func writeTelemetryJSON(path string, rows []harness.TelemetryRow, workers int, elapsed time.Duration) error {
-	out := telemetryJSON{
-		Schema:           "drbench/telemetry/v1",
-		Workers:          workers,
-		WallClockSeconds: elapsed.Seconds(),
-		Metrics:          obs.MetricNames(),
-	}
-	for _, r := range rows {
-		out.Anomalies += uint64(len(r.Anomalies))
-		out.Rows = append(out.Rows, telemetryRowJSON{
-			Benchmark:   r.Benchmark,
-			Class:       r.Class.String(),
-			Ticks:       uint64(r.Ticks),
-			Normalized:  r.Normalized,
-			Histograms:  r.Histograms,
-			Anomalies:   r.Anomalies,
-			BlocksBuilt: r.Stats.BlocksBuilt,
-			TracesBuilt: r.Stats.TracesBuilt,
-			Evictions:   r.Stats.Evictions,
-			IBLMisses:   r.Stats.IBLMisses,
-			Recoveries:  r.Stats.Recoveries,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeTraceJSONL writes every benchmark's drained event trace as JSON
-// lines, each labeled with its benchmark name.
-func writeTraceJSONL(path string, rows []harness.ProfileRow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := obs.WriteJSONL(f, r.Benchmark, r.Events); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// runVerify exercises the whole matrix: every benchmark under the five
-// Table 1 configurations and the six Figure 5 client configurations.
-// RunConfig panics on any output divergence from native, so completing the
-// matrix is the proof.
-func runVerify() {
-	benches := workload.All()
-	ladder := core.TableOneLadder()
-	total := 0
-	for _, b := range benches {
-		fmt.Printf("%-10s", b.Name)
-		for _, opts := range ladder {
-			harness.RunConfig(b, opts)
-			fmt.Print(" .")
-			total++
-		}
-		for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-			harness.RunConfig(b, core.Default(), harness.ClientsFor(c)...)
-			fmt.Print(" .")
-			total++
-		}
-		fmt.Println(" ok")
-	}
-	fmt.Printf("transparency verified: %d benchmark x configuration runs, all outputs identical to native\n", total)
 }

@@ -21,8 +21,7 @@ type Site uint8
 
 // The chaos sites, one per fragile boundary.
 const (
-	// SiteDispatch fires at dispatcher entry, before any state is touched
-	// (the generalization of the original InternalFaultHook lever).
+	// SiteDispatch fires at dispatcher entry, before any state is touched.
 	SiteDispatch Site = iota
 	// SiteBlockBuild fires during basic-block construction, after decode
 	// but before emission.

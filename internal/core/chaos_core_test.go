@@ -378,3 +378,12 @@ hits: .word 0
 		t.Errorf("SignalsDropped = %d, want 0", m.Stats.SignalsDropped)
 	}
 }
+
+// dispatchFaults arms an injector that fails dispatcher entries: each
+// trigger's Nth/MaxFires pick the failing dispatch hits.
+func dispatchFaults(triggers ...chaos.Trigger) *chaos.Injector {
+	for i := range triggers {
+		triggers[i].Site = chaos.SiteDispatch
+	}
+	return chaos.NewInjector(0, triggers)
+}

@@ -125,9 +125,6 @@ func (r *RIO) dispatch(ctx *Context, tag machine.Addr) (act machine.TrapAction, 
 	fromIBL := ctx.fromIBLMiss
 	ctx.fromIBLMiss = false
 
-	if h := r.Opts.InternalFaultHook; h != nil && h(ctx, tag) {
-		panic(fmt.Sprintf("core: injected internal fault at %#x", tag))
-	}
 	r.chaosPoint(chaos.SiteDispatch, tag)
 
 	// Safe point: deliver deferred deletion events, sideline work and

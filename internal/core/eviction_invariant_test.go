@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -72,28 +73,28 @@ func invariantWorkloads(t *testing.T) []*workload.Benchmark {
 // re-validates the link graph, byte accounting and IBL hashtable after every
 // single eviction and resize.
 func TestEvictionInvariants(t *testing.T) {
-	configs := diffConfigs()
+	configs := evictionConfigs(t)
 	for _, b := range invariantWorkloads(t) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			sawEvictions := false
 			for _, cfg := range configs {
-				if !cfg.pressured {
+				if cfg.Name == "unbounded" {
 					continue
 				}
 				chk := &invariantChecker{t: t}
 				m := machine.New(machine.PentiumIV())
-				r := core.New(m, b.Image(), cfg.opts(), nil, chk)
-				if err := r.Run(diffRunLimit); err != nil {
-					t.Fatalf("%s: %v", cfg.name, err)
+				r := core.New(m, b.Image(), cfg.Opts(), nil, chk)
+				if err := r.Run(oracle.RunLimit); err != nil {
+					t.Fatalf("%s: %v", cfg.Name, err)
 				}
 				if chk.evictions > 0 {
 					sawEvictions = true
 				}
 				if uint64(chk.evictions) != r.Stats.Evictions {
 					t.Errorf("%s: client saw %d evictions, stats counted %d",
-						cfg.name, chk.evictions, r.Stats.Evictions)
+						cfg.Name, chk.evictions, r.Stats.Evictions)
 				}
 				if chk.ctx != nil {
 					chk.check(chk.ctx, "run end")
@@ -121,7 +122,7 @@ func TestEvictionReusesFreedSpace(t *testing.T) {
 			o.BBCacheSize, o.TraceCacheSize = budget, budget
 			m := machine.New(machine.PentiumIV())
 			r := core.New(m, b.Image(), o, nil, chk)
-			if err := r.Run(diffRunLimit); err != nil {
+			if err := r.Run(oracle.RunLimit); err != nil {
 				t.Fatal(err)
 			}
 			if chk.ctx == nil {

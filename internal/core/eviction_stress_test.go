@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -114,7 +115,7 @@ func TestEvictionStressMultiThread(t *testing.T) {
 
 	native := machine.New(machine.PentiumIV())
 	img.Boot(native)
-	if err := native.Run(diffRunLimit); err != nil {
+	if err := native.Run(oracle.RunLimit); err != nil {
 		t.Fatalf("native: %v", err)
 	}
 
@@ -126,7 +127,7 @@ func TestEvictionStressMultiThread(t *testing.T) {
 			o.BBCacheSize, o.TraceCacheSize = budget, budget
 			m := machine.New(machine.PentiumIV())
 			r := core.New(m, img, o, nil)
-			if err := r.Run(diffRunLimit); err != nil {
+			if err := r.Run(oracle.RunLimit); err != nil {
 				t.Fatal(err)
 			}
 			if len(m.Threads) != stressWorkers+1 {
@@ -176,7 +177,7 @@ func TestEvictionStatsDeterminism(t *testing.T) {
 			o.BBCacheSize, o.TraceCacheSize = 1024, 1024
 			m := machine.New(machine.PentiumIV())
 			r := core.New(m, b.Image(), o, nil)
-			if err := r.Run(diffRunLimit); err != nil {
+			if err := r.Run(oracle.RunLimit); err != nil {
 				errs[i] = err
 				return
 			}

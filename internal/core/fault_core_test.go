@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/machine"
 )
@@ -304,13 +305,9 @@ outer:
 	native := runNative(t, img)
 	want := native.OutputString()
 
-	dispatches := 0
 	cl := &detachClient{}
 	opts := core.Default()
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
-		dispatches++
-		return dispatches == 6 // fail partway through the printing loop
-	}
+	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 6}) // fail partway through the printing loop
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)
 	if err := r.Run(0); err != nil {
@@ -363,16 +360,12 @@ inner:
 	native := runNative(t, img)
 	want := native.OutputString()
 
-	dispatches := 0
 	cl := &detachClient{}
 	opts := core.Default()
 	opts.NativeWindow = 300 // short windows so the cool-down fits the run
 	opts.ReattachCooldown = 6
 	opts.RecoveryBackoff = 2
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
-		dispatches++
-		return dispatches >= 4 && dispatches <= 18 // a burst, then quiet
-	}
+	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 4, MaxFires: 15}) // a burst (hits 4–18), then quiet
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)
 	if err := r.Run(0); err != nil {

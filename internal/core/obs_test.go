@@ -30,26 +30,26 @@ func profiled(opts core.Options, ring int) core.Options {
 // differential configuration matrix with phase accounting enabled and checks
 // the two conservation invariants plus the structural cache invariants.
 func TestPhaseAndCounterConservation(t *testing.T) {
-	configs := diffConfigs()
+	configs := evictionConfigs(t)
 	for _, b := range workload.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, cfg := range configs {
 				m := machine.New(machine.PentiumIV())
-				r := core.New(m, b.Image(), profiled(cfg.opts(), 0), nil)
-				if err := r.Run(diffRunLimit); err != nil {
-					t.Fatalf("%s: %v", cfg.name, err)
+				r := core.New(m, b.Image(), profiled(cfg.Opts(), 0), nil)
+				if err := r.Run(oracle.RunLimit); err != nil {
+					t.Fatalf("%s: %v", cfg.Name, err)
 				}
 
 				// Tick conservation: the breakdown covers the whole run.
 				pt := r.PhaseTicks()
 				if sum := pt.Sum(); sum != uint64(m.Ticks) {
 					t.Errorf("%s: phase ticks sum %d != machine ticks %d (breakdown %v)",
-						cfg.name, sum, m.Ticks, pt.Map())
+						cfg.Name, sum, m.Ticks, pt.Map())
 				}
 				if pt[obs.PhaseAppCacheBB]+pt[obs.PhaseAppCacheTrace] == 0 {
-					t.Errorf("%s: no ticks attributed to cache-resident application code", cfg.name)
+					t.Errorf("%s: no ticks attributed to cache-resident application code", cfg.Name)
 				}
 
 				// Fragment conservation: built == live + delivered dead,
@@ -58,20 +58,20 @@ func TestPhaseAndCounterConservation(t *testing.T) {
 				liveBB, liveTrace := r.LiveFragmentCounts()
 				if s.BlocksBuilt != liveBB+s.FragmentsDeletedBB {
 					t.Errorf("%s: BlocksBuilt %d != live %d + deleted %d",
-						cfg.name, s.BlocksBuilt, liveBB, s.FragmentsDeletedBB)
+						cfg.Name, s.BlocksBuilt, liveBB, s.FragmentsDeletedBB)
 				}
 				if s.TracesBuilt != liveTrace+s.FragmentsDeletedTrace {
 					t.Errorf("%s: TracesBuilt %d != live %d + deleted %d",
-						cfg.name, s.TracesBuilt, liveTrace, s.FragmentsDeletedTrace)
+						cfg.Name, s.TracesBuilt, liveTrace, s.FragmentsDeletedTrace)
 				}
 				if s.FragmentsDeleted != s.FragmentsDeletedBB+s.FragmentsDeletedTrace {
 					t.Errorf("%s: FragmentsDeleted %d != BB %d + trace %d",
-						cfg.name, s.FragmentsDeleted, s.FragmentsDeletedBB, s.FragmentsDeletedTrace)
+						cfg.Name, s.FragmentsDeleted, s.FragmentsDeletedBB, s.FragmentsDeletedTrace)
 				}
 
 				// Eviction work must be attributed to the eviction phase.
 				if s.Evictions > 0 && pt[obs.PhaseEviction] == 0 {
-					t.Errorf("%s: %d evictions but zero eviction-phase ticks", cfg.name, s.Evictions)
+					t.Errorf("%s: %d evictions but zero eviction-phase ticks", cfg.Name, s.Evictions)
 				}
 
 				// Profile-side conservation: every emission recorded a
@@ -83,17 +83,17 @@ func TestPhaseAndCounterConservation(t *testing.T) {
 				}
 				if builds != s.BlocksBuilt+s.TracesBuilt {
 					t.Errorf("%s: profile builds %d != blocks %d + traces %d",
-						cfg.name, builds, s.BlocksBuilt, s.TracesBuilt)
+						cfg.Name, builds, s.BlocksBuilt, s.TracesBuilt)
 				}
 				if evictions != s.Evictions {
 					t.Errorf("%s: profile evictions %d != Stats.Evictions %d",
-						cfg.name, evictions, s.Evictions)
+						cfg.Name, evictions, s.Evictions)
 				}
 
 				for _, th := range m.Threads {
 					if ctx := r.ContextOf(th); ctx != nil {
 						if err := ctx.CheckCacheInvariants(); err != nil {
-							t.Errorf("%s: thread %d: %v", cfg.name, th.ID, err)
+							t.Errorf("%s: thread %d: %v", cfg.Name, th.ID, err)
 						}
 					}
 				}
@@ -115,7 +115,7 @@ func TestProfilesSurviveEviction(t *testing.T) {
 	opts.BBCacheSize, opts.TraceCacheSize = 16, 16
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), profiled(opts, 0), nil)
-	if err := r.Run(diffRunLimit); err != nil {
+	if err := r.Run(oracle.RunLimit); err != nil {
 		t.Fatal(err)
 	}
 	s := r.StatsSnapshot()
@@ -156,7 +156,7 @@ func TestEventRingTransparency(t *testing.T) {
 				opts.BBCacheSize, opts.TraceCacheSize = 1024, 1024
 				m := machine.New(machine.PentiumIV())
 				r := core.New(m, b.Image(), profiled(opts, ring), nil)
-				if err := r.Run(diffRunLimit); err != nil {
+				if err := r.Run(oracle.RunLimit); err != nil {
 					t.Fatalf("ring=%d: %v", ring, err)
 				}
 				return oracle.Capture(m), m.Ticks, r
@@ -203,7 +203,7 @@ func TestFaultTranslatePhase(t *testing.T) {
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), profiled(core.Default(), 64), nil)
 	m.InjectFaultAtSyscall(0, 0, machine.FaultSoftware, 0)
-	if err := r.Run(diffRunLimit); err != nil {
+	if err := r.Run(oracle.RunLimit); err != nil {
 		t.Fatal(err)
 	}
 	s := r.StatsSnapshot()
@@ -258,7 +258,7 @@ func TestStatsSnapshotConcurrentWithRun(t *testing.T) {
 			drained += len(r.Tracer().Drain())
 		}
 	}()
-	err := r.Run(diffRunLimit)
+	err := r.Run(oracle.RunLimit)
 	close(done)
 	wg.Wait()
 	if err != nil {

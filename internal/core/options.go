@@ -115,13 +115,6 @@ type Options struct {
 	RegenThreshold float64 // default 0.5
 	ResizeEpoch    int     // default 32 evictions per epoch
 
-	// InternalFaultHook, when set, is consulted at every dispatcher entry
-	// and panics when it returns true — a test-only lever to exercise the
-	// internal-failure recovery path without corrupting real state. It is
-	// the original single-point ancestor of the Chaos injector below, kept
-	// for direct control in tests.
-	InternalFaultHook func(ctx *Context, tag machine.Addr) bool
-
 	// Chaos, when set, drives the named injection sites at every fragile
 	// runtime boundary (see internal/chaos): a firing trigger panics at the
 	// site, exercising transactional rollback and the degradation ladder.
@@ -196,8 +189,8 @@ type Options struct {
 	// writer; TraceEventPID and TraceEventProcess name this runtime's
 	// process track (pid defaults to 1). Ignored when TraceEventWriter is
 	// also set.
-	TraceEvents      *obs.TraceWriter
-	TraceEventPID    int
+	TraceEvents       *obs.TraceWriter
+	TraceEventPID     int
 	TraceEventProcess string
 
 	// Watchdog turns on the pathology monitor (see obs.Watchdog): the

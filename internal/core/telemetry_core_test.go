@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -166,13 +167,9 @@ inner:
     dec ecx
     jnz outer
 `+exitSnippet)
-	dispatches := 0
 	opts := telemetryOpts()
 	opts.NativeWindow = 250
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
-		dispatches++
-		return dispatches == 5
-	}
+	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 5})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
@@ -198,12 +195,8 @@ outer:
     dec ecx
     jnz outer
 `+exitSnippet)
-	dispatches := 0
 	opts := telemetryOpts()
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
-		dispatches++
-		return dispatches == 6
-	}
+	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 6})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
@@ -280,18 +273,19 @@ inner:
     dec ecx
     jnz outer
 `+exitSnippet)
-	dispatches := 0
 	cl := &anomalyClient{}
 	opts := telemetryOpts()
 	opts.NativeWindow = 300
 	opts.ReattachCooldown = 6
 	opts.RecoveryBackoff = 2
 	opts.QuarantineThreshold = 100 // keep tags on the backoff path: flap, not permanent bar
-	opts.InternalFaultHook = func(ctx *core.Context, tag machine.Addr) bool {
-		dispatches++
-		phase := dispatches % 60
-		return phase >= 4 && phase <= 12 // a burst every 60 dispatches, quiet between
+	// A burst of nine failures (dispatch hits 4–12) every 60 dispatches,
+	// quiet between.
+	var bursts []chaos.Trigger
+	for start := uint64(4); start < 60_000; start += 60 {
+		bursts = append(bursts, chaos.Trigger{Nth: start, MaxFires: 9})
 	}
+	opts.Chaos = dispatchFaults(bursts...)
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)
 	if err := r.Run(0); err != nil {

@@ -4,14 +4,54 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 )
 
 // corpusDir is the committed repro corpus, relative to this package.
 const corpusDir = "testdata/corpus"
 
-// forceElision is the mutation-testing lever: it makes flag-save elision
-// unsound in every configuration that has elision enabled.
-func forceElision(o *core.Options) { o.ForceFlagsDead = true }
+// forcedElision is the mutation-testing lever applied to the matrix: it makes
+// flag-save elision unsound in every configuration that has elision enabled.
+func forcedElision() []oracle.Config {
+	configs := Configs()
+	for i := range configs {
+		opts := configs[i].Opts
+		configs[i].Opts = func() core.Options {
+			o := opts()
+			o.ForceFlagsDead = true
+			return o
+		}
+	}
+	return configs
+}
+
+// diff runs programs natively and under configs through the engine.
+func diff(t *testing.T, configs []oracle.Config, progs ...*Prog) []oracle.Outcome {
+	t.Helper()
+	cases := make([]oracle.Case, len(progs))
+	for i, p := range progs {
+		c, err := Case(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[i] = c
+	}
+	outs, err := oracle.Diff(0, cases, configs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// firstFailure returns the first failing outcome, or nil.
+func firstFailure(outs []oracle.Outcome) *oracle.Outcome {
+	for i := range outs {
+		if outs[i].Failure() != "" {
+			return &outs[i]
+		}
+	}
+	return nil
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
@@ -53,29 +93,30 @@ func TestGeneratedProgramShape(t *testing.T) {
 	}
 }
 
-// TestDifferentialSmoke runs a seeded campaign across the full four-column
-// matrix; every program must be bit-identical to native everywhere. The CI
-// smoke step runs the larger 200-seed campaign through drbench -fuzz.
+// TestDifferentialSmoke runs seeded programs across the full four-column
+// matrix; every program must be bit-identical to native everywhere, with
+// elision confined to its columns. The CI smoke step runs the larger
+// 200-seed suite through drbench -diff fuzz.
 func TestDifferentialSmoke(t *testing.T) {
 	n := 40
 	if testing.Short() {
 		n = 10
 	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
+	progs := make([]*Prog, n)
+	for i := range progs {
+		progs[i] = Generate(int64(i+1), 40)
 	}
-	reports, err := Campaign(0, seeds, 40, nil)
-	if err != nil {
-		t.Fatal(err)
+	outs := diff(t, Configs(), progs...)
+	if len(outs) != n*len(Configs()) {
+		t.Fatalf("got %d outcomes, want %d", len(outs), n*len(Configs()))
 	}
-	if len(reports) != n {
-		t.Fatalf("got %d reports, want %d", len(reports), n)
-	}
-	for _, r := range reports {
-		if mm, bad := r.FirstMismatch(); bad {
-			t.Errorf("seed %d diverged under %s: %s", r.Seed, mm.Config, mm.Mismatch)
+	for _, o := range outs {
+		if f := o.Failure(); f != "" {
+			t.Errorf("%s under %s: %s", o.Case, o.Config, f)
 		}
+	}
+	if err := Coverage(outs); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -96,24 +137,17 @@ func TestCorpusReplay(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			stock, err := Check(&e.Prog, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mm, bad := stock.FirstMismatch(); bad {
-				t.Fatalf("stock runtime diverged under %s: %s", mm.Config, mm.Mismatch)
+			if o := firstFailure(diff(t, Configs(), &e.Prog)); o != nil {
+				t.Fatalf("stock runtime failed under %s: %s", o.Config, o.Failure())
 			}
 			if !e.ForceFlagsDead {
 				return
 			}
-			mutated, err := Check(&e.Prog, forceElision)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mutated.Passed() {
+			mutated := diff(t, forcedElision(), &e.Prog)
+			if firstFailure(mutated) == nil {
 				t.Fatal("mutation lever armed but no divergence: the repro lost its teeth")
 			}
-			for _, o := range mutated.Outcomes {
+			for _, o := range mutated {
 				if o.Config == "noelide" && !o.Match {
 					t.Errorf("elision-off column diverged (%s): mismatch is not elision-caused", o.Mismatch)
 				}
@@ -129,18 +163,11 @@ func TestCorpusReplay(t *testing.T) {
 func TestMutationForcedElisionCaught(t *testing.T) {
 	const seed = 7 // known locally-diverging seed, pinned for determinism
 	p := Generate(seed, 40)
-	rep, err := Check(p, forceElision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Passed() {
+	if firstFailure(diff(t, forcedElision(), p)) == nil {
 		t.Fatal("forced-elision mutation not caught: the oracle is blind to stale eflags")
 	}
 
-	failing := func(q *Prog) bool {
-		r, err := Check(q, forceElision)
-		return err == nil && !r.Passed()
-	}
+	failing := func(q *Prog) bool { return Diverges(q, forcedElision()) }
 	shrunk := Shrink(p, failing, 400)
 	if !failing(shrunk) {
 		t.Fatal("shrunk program no longer fails")
@@ -152,11 +179,7 @@ func TestMutationForcedElisionCaught(t *testing.T) {
 		t.Errorf("shrinker made no progress: %d -> %d statements", p.NumStmts(), shrunk.NumStmts())
 	}
 	// The minimal repro must be sound under the stock runtime.
-	stock, err := Check(shrunk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stock.Passed() {
+	if Diverges(shrunk, Configs()) {
 		t.Error("shrunk repro diverges even without the mutation")
 	}
 }
@@ -165,35 +188,22 @@ func TestMutationForcedElisionCaught(t *testing.T) {
 // the guarded guard-page read must deliver the same fault sequence (kind,
 // address, *native* EIP) everywhere.
 func TestFaultingProgramsAgree(t *testing.T) {
-	found := false
-	for seed := int64(1); seed <= 20 && !found; seed++ {
+	for seed := int64(1); seed <= 20; seed++ {
 		p := Generate(seed, 40)
 		if !p.Fault {
 			continue
 		}
-		found = true
-		img, err := BuildImage(p)
-		if err != nil {
-			t.Fatal(err)
+		for _, o := range diff(t, Configs(), p) {
+			if f := o.Failure(); f != "" {
+				t.Errorf("seed %d: %s: %s", seed, o.Config, f)
+			}
+			if o.Faults == 0 {
+				t.Errorf("seed %d under %s: fault site generated but no fault delivered", seed, o.Config)
+			}
 		}
-		want, err := RunNative(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Faults) == 0 {
-			t.Fatalf("seed %d: fault site generated but no fault delivered natively", seed)
-		}
-		rep, err := Check(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mm, bad := rep.FirstMismatch(); bad {
-			t.Errorf("seed %d: %s: %s", seed, mm.Config, mm.Mismatch)
-		}
+		return
 	}
-	if !found {
-		t.Fatal("no seed in 1..20 generated a fault site")
-	}
+	t.Fatal("no seed in 1..20 generated a fault site")
 }
 
 // FuzzDifferential is the Go-native fuzzing entry point: the input is a
@@ -209,13 +219,8 @@ func FuzzDifferential(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		p := Generate(seed, 40)
-		rep, err := Check(p, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if mm, bad := rep.FirstMismatch(); bad {
-			t.Errorf("seed %d diverged under %s: %s", seed, mm.Config, mm.Mismatch)
+		if o := firstFailure(diff(t, Configs(), Generate(seed, 40))); o != nil {
+			t.Errorf("seed %d failed under %s: %s", seed, o.Config, o.Failure())
 		}
 	})
 }

@@ -3,8 +3,7 @@ package fuzz
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/image"
@@ -12,187 +11,65 @@ import (
 	"repro/internal/oracle"
 )
 
-// runLimit bounds one simulated run. Generated programs execute a few
-// million instructions at most; hitting this limit means a generator or
-// mangling bug produced divergent control flow that never terminates, which
-// is reported as an infrastructure error rather than a mismatch.
-const runLimit = 600_000_000
-
-// Config is one runtime column of the differential matrix.
-type Config struct {
-	Name string
-	Opts func() core.Options
-}
-
 // Configs returns the four-column matrix every generated program runs under:
 // the full default runtime, FIFO-evicting 4 KiB caches, the fixed-size IBL
 // table (adaptive growth off), and flag-save elision off. The last column
 // doubles as the ablation oracle: a mismatch that appears in the elision-on
 // columns but not here is localized to the elision machinery.
-func Configs() []Config {
-	return []Config{
-		{"default", core.Default},
-		{"4k", func() core.Options {
+func Configs() []oracle.Config {
+	with := func(mod func(*core.Options)) func() core.Options {
+		return func() core.Options {
 			o := core.Default()
-			o.BBCacheSize, o.TraceCacheSize = 4<<10, 4<<10
+			mod(&o)
 			return o
-		}},
-		{"ibl-fixed", func() core.Options {
-			o := core.Default()
-			o.IBLAdaptive = false
-			o.IBLTableBits = 6
-			return o
-		}},
-		{"noelide", func() core.Options {
-			o := core.Default()
-			o.FlagsElision = false
-			return o
-		}},
-	}
-}
-
-// BuildImage renders and assembles the program.
-func BuildImage(p *Prog) (*image.Image, error) {
-	return image.Assemble(fmt.Sprintf("fuzz-%d", p.Seed), Render(p))
-}
-
-// protectGuard arms the guard page identically in every run.
-func protectGuard(m *machine.Machine) {
-	m.Mem.Protect(GuardPage, GuardPage+0x1000, machine.ProtNoRead|machine.ProtNoWrite)
-}
-
-// RunNative executes the image on a bare machine and captures the endpoint.
-func RunNative(img *image.Image) (oracle.State, error) {
-	m := machine.New(machine.PentiumIV())
-	img.Boot(m)
-	protectGuard(m)
-	if err := m.Run(runLimit); err != nil {
-		return oracle.State{}, fmt.Errorf("native: %w", err)
-	}
-	return oracle.Capture(m), nil
-}
-
-// RunConfig executes the image under the runtime with the given options.
-func RunConfig(img *image.Image, opts core.Options) (oracle.State, error) {
-	m := machine.New(machine.PentiumIV())
-	r := core.New(m, img, opts, nil)
-	protectGuard(m)
-	if err := r.Run(runLimit); err != nil {
-		return oracle.State{}, err
-	}
-	return oracle.Capture(m), nil
-}
-
-// Outcome is one (program, config) comparison.
-type Outcome struct {
-	Config   string `json:"config"`
-	Match    bool   `json:"match"`
-	Mismatch string `json:"mismatch,omitempty"`
-}
-
-// Report is one program's differential across the whole matrix.
-type Report struct {
-	Seed     int64     `json:"seed"`
-	Stmts    int       `json:"stmts"`
-	Fault    bool      `json:"fault"`
-	Outcomes []Outcome `json:"outcomes"`
-}
-
-// Passed reports whether every configuration matched native.
-func (r *Report) Passed() bool {
-	for _, o := range r.Outcomes {
-		if !o.Match {
-			return false
 		}
 	}
-	return true
-}
-
-// FirstMismatch returns the first failing outcome, if any.
-func (r *Report) FirstMismatch() (Outcome, bool) {
-	for _, o := range r.Outcomes {
-		if !o.Match {
-			return o, true
-		}
+	return []oracle.Config{
+		{Name: "default", Opts: core.Default},
+		{Name: "4k", Opts: with(func(o *core.Options) { o.BBCacheSize, o.TraceCacheSize = 4<<10, 4<<10 })},
+		{Name: "ibl-fixed", Opts: with(func(o *core.Options) { o.IBLAdaptive, o.IBLTableBits = false, 6 })},
+		{Name: "noelide", Opts: with(func(o *core.Options) { o.FlagsElision = false })},
 	}
-	return Outcome{}, false
 }
 
-// Check runs p natively and under every matrix configuration, comparing
-// architectural endpoints through the oracle. mutate, when non-nil, is
-// applied to each configuration's options before the run — the
-// mutation-testing lever (e.g. core.Options.ForceFlagsDead) that proves the
-// oracle catches real transparency violations.
-func Check(p *Prog, mutate func(*core.Options)) (*Report, error) {
-	img, err := BuildImage(p)
+// Case renders and assembles the program as a differential case whose every
+// run, native or under the runtime, arms the guard page identically.
+func Case(p *Prog) (oracle.Case, error) {
+	name := fmt.Sprintf("fuzz-%d", p.Seed)
+	img, err := image.Assemble(name, Render(p))
 	if err != nil {
-		return nil, fmt.Errorf("seed %d: %w", p.Seed, err)
+		return oracle.Case{}, fmt.Errorf("seed %d: %w", p.Seed, err)
 	}
-	want, err := RunNative(img)
-	if err != nil {
-		return nil, fmt.Errorf("seed %d: %w", p.Seed, err)
-	}
-	rep := &Report{Seed: p.Seed, Stmts: p.NumStmts(), Fault: p.Fault}
-	for _, cfg := range Configs() {
-		opts := cfg.Opts()
-		if mutate != nil {
-			mutate(&opts)
-		}
-		got, err := RunConfig(img, opts)
-		if err != nil {
-			return nil, fmt.Errorf("seed %d under %s: %w", p.Seed, cfg.Name, err)
-		}
-		rep.Outcomes = append(rep.Outcomes, Outcome{
-			Config:   cfg.Name,
-			Match:    oracle.Equal(want, got),
-			Mismatch: oracle.Mismatch(want, got),
-		})
-	}
-	return rep, nil
+	return oracle.Case{Name: name, Image: img, Setup: func(m *machine.Machine) {
+		m.Mem.Protect(GuardPage, GuardPage+0x1000, machine.ProtNoRead|machine.ProtNoWrite)
+	}}, nil
 }
 
-// Campaign generates and checks one program per seed with a pool of worker
-// goroutines (workers <= 0 means one per GOMAXPROCS). Results are in seed
-// order and deterministic for any worker count. Infrastructure errors
-// (assembly failures, run-limit overruns) are joined into the returned
-// error; architectural mismatches are reported in the per-seed Reports, not
-// as errors.
-func Campaign(workers int, seeds []int64, maxOps int, mutate func(*core.Options)) ([]*Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	reports := make([]*Report, len(seeds))
-	errs := make([]error, len(seeds))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := Generate(seeds[i], maxOps)
-				rep, err := Check(p, mutate)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				reports[i] = rep
-			}
-		}()
-	}
-	for i := range seeds {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	out := reports[:0]
-	for _, r := range reports {
-		if r != nil {
-			out = append(out, r)
+// Coverage is the matrix's confinement check: elision never runs in the
+// noelide column, so a mismatch localized there cannot be elision-caused,
+// and it does run in the other columns.
+func Coverage(outs []oracle.Outcome) error {
+	var elided uint64
+	for _, o := range outs {
+		e := o.Stats.FlagsElisions + o.Stats.InlineChecksElided
+		if o.Config == "noelide" && e != 0 {
+			return fmt.Errorf("%s: elision ran in the noelide column", o.Case)
 		}
+		elided += e
 	}
-	return out, errors.Join(errs...)
+	if elided == 0 {
+		return errors.New("no flag-save elision anywhere: the elision columns are vacuous")
+	}
+	return nil
+}
+
+// Diverges reports whether p fails under configs — the shrinker's predicate.
+// A program that does not assemble does not count as failing.
+func Diverges(p *Prog, configs []oracle.Config) bool {
+	c, err := Case(p)
+	if err != nil {
+		return false
+	}
+	outs, err := oracle.Diff(1, []oracle.Case{c}, configs, nil)
+	return err == nil && slices.ContainsFunc(outs, func(o oracle.Outcome) bool { return o.Failure() != "" })
 }

@@ -3,12 +3,11 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -68,46 +67,20 @@ type CacheSweepRow struct {
 // GOMAXPROCS; results are bit-identical for any worker count. A failing cell
 // is reported in the joined error while the rest of the matrix still runs.
 func CacheSweep(workers int, benches []*workload.Benchmark, points []CachePoint) ([]CacheSweepRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	np := len(points)
-	cells := len(benches) * np
-	if workers > cells {
-		workers = cells
-	}
 	rows := make([]CacheSweepRow, len(benches))
 	for i, b := range benches {
 		rows[i] = CacheSweepRow{Benchmark: b.Name, Class: b.Class, Cells: make([]CacheCell, np)}
 	}
-	errs := make([]error, cells)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				b, p := benches[k/np], points[k%np]
-				res, err := RunConfigErr(b, p.Options())
-				if err != nil {
-					errs[k] = fmt.Errorf("%s/%s: %w", b.Name, p.Name, err)
-					continue
-				}
-				rows[k/np].Cells[k%np] = CacheCell{
-					Normalized: res.Normalized,
-					Ticks:      res.Ticks,
-					Stats:      res.RIOStats,
-				}
-			}
-		}()
-	}
-	for k := 0; k < cells; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, errors.Join(oracle.Parallel(workers, len(benches)*np, func(k int) error {
+		b, p := benches[k/np], points[k%np]
+		res, err := RunConfigErr(b, p.Options())
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", b.Name, p.Name, err)
+		}
+		rows[k/np].Cells[k%np] = CacheCell{Normalized: res.Normalized, Ticks: res.Ticks, Stats: res.RIOStats}
+		return nil
+	})...)
 }
 
 // CacheSweepMeans returns the geometric mean of normalized time per sweep

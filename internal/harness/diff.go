@@ -1,0 +1,559 @@
+package harness
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+
+	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/fuzz"
+	"repro/internal/image"
+	"repro/internal/machine"
+	"repro/internal/oracle"
+	"repro/internal/workload"
+)
+
+// The differential suites: every transparency check of the repository as
+// data for the one engine, oracle.Diff. A suite names its programs, its
+// runtime configurations and its perturbations, plus the coverage check that
+// proves a passing run was not vacuous — the mechanism under test actually
+// ran. The paper's Section 3 contract is the same for all of them: the
+// runtime may change every performance counter but never the application's
+// architectural endpoint.
+
+// Suite is one named differential matrix.
+type Suite struct {
+	Name          string
+	Cases         []oracle.Case
+	Configs       []oracle.Config
+	Perturbations []oracle.Perturbation
+	// Coverage, when non-nil, reports what a complete run of the suite
+	// failed to exercise.
+	Coverage func([]oracle.Outcome) error
+}
+
+// SuiteParams selects what the suites run over.
+type SuiteParams struct {
+	Benches   []*workload.Benchmark // nil means every benchmark
+	Seeds     []int64               // fault and chaos schedule seeds; nil means 101, 202, 303
+	FuzzSeeds []int64               // generator seeds of the fuzz suites; nil means 1..200
+	FuzzOps   int                   // statement budget per generated program; 0 means 40
+}
+
+// suiteBuilders maps each suite name to its constructor, in SuiteNames order.
+var suiteBuilders = []struct {
+	name  string
+	build func(SuiteParams) (*Suite, error)
+}{
+	{"verify", verifySuite},
+	{"eviction", evictionSuite},
+	{"ibl", iblSuite},
+	{"faultstorm", faultStormSuite},
+	{"chaosstorm", chaosStormSuite},
+	{"fuzz", fuzzSuite},
+	{"fuzzchaos", fuzzChaosSuite},
+}
+
+// SuiteNames lists the differential suites.
+func SuiteNames() []string {
+	names := make([]string, len(suiteBuilders))
+	for i, s := range suiteBuilders {
+		names[i] = s.name
+	}
+	return names
+}
+
+// NewSuite builds the named suite.
+func NewSuite(name string, p SuiteParams) (*Suite, error) {
+	if p.Benches == nil {
+		p.Benches = workload.All()
+	}
+	if p.Seeds == nil {
+		p.Seeds = []int64{101, 202, 303}
+	}
+	if p.FuzzSeeds == nil {
+		p.FuzzSeeds = SeedRange(1, 200)
+	}
+	if p.FuzzOps == 0 {
+		p.FuzzOps = 40
+	}
+	for _, s := range suiteBuilders {
+		if s.name == name {
+			suite, err := s.build(p)
+			if err == nil {
+				suite.Name = name
+			}
+			return suite, err
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown differential suite %q (have %s)", name, strings.Join(SuiteNames(), ", "))
+}
+
+// SeedRange returns n consecutive seeds starting at base.
+func SeedRange(base int64, n int) []int64 {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = base + int64(i)
+	}
+	return seeds
+}
+
+// Run executes the suite's matrix.
+func (s *Suite) Run(workers int) ([]oracle.Outcome, error) {
+	return oracle.Diff(workers, s.Cases, s.Configs, s.Perturbations)
+}
+
+// Check returns nil when every outcome of a complete run passed and the
+// coverage check holds; otherwise it names the first few failing cells and
+// the coverage gaps.
+func (s *Suite) Check(outs []oracle.Outcome) error {
+	var errs []error
+	failed := 0
+	for _, o := range outs {
+		if f := o.Failure(); f != "" {
+			if failed++; failed <= 5 {
+				errs = append(errs, fmt.Errorf("%s/%s/%s: %s", o.Case, o.Perturbation, o.Config, f))
+			}
+		}
+	}
+	if failed > 5 {
+		errs = append(errs, fmt.Errorf("... %d failing runs in all", failed))
+	}
+	if s.Coverage != nil {
+		if err := s.Coverage(outs); err != nil {
+			errs = append(errs, fmt.Errorf("coverage: %w", err))
+		}
+	}
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %w", s.Name, errors.Join(errs...))
+}
+
+// benchCases wraps the benchmarks as differential cases.
+func benchCases(benches []*workload.Benchmark) []oracle.Case {
+	cases := make([]oracle.Case, len(benches))
+	for i, b := range benches {
+		cases[i] = oracle.Case{Name: b.Name, Image: b.Image()}
+	}
+	return cases
+}
+
+// defaultWith returns a config builder applying mod to core.Default().
+func defaultWith(mod func(*core.Options)) func() core.Options {
+	return func() core.Options {
+		o := core.Default()
+		mod(&o)
+		return o
+	}
+}
+
+// bounded sets both cache budgets.
+func bounded(bytes int) func(*core.Options) {
+	return func(o *core.Options) { o.BBCacheSize, o.TraceCacheSize = bytes, bytes }
+}
+
+// verifySuite is the transparency matrix: every benchmark under the Table 1
+// feature ladder and under the six Figure 5 client sets.
+func verifySuite(p SuiteParams) (*Suite, error) {
+	ladderNames := []string{"emulation", "bb-cache", "link-direct", "link-indirect", "traces"}
+	var configs []oracle.Config
+	for i, opts := range core.TableOneLadder() {
+		configs = append(configs, oracle.Config{Name: ladderNames[i], Opts: func() core.Options { return opts }})
+	}
+	for c := ConfigBase; c < NumOptConfigs; c++ {
+		configs = append(configs, oracle.Config{Name: c.String(), Opts: core.Default,
+			Clients: func() []core.Client { return ClientsFor(c) }})
+	}
+	return &Suite{Cases: benchCases(p.Benches), Configs: configs}, nil
+}
+
+// evictionSuite proves FIFO eviction and adaptive sizing transparent: an
+// unbounded cache, a 4 KiB cache, a maximally thrashing cache (a 16-byte
+// budget ratchets capacity to the largest fragment seen) and an adaptive
+// cache. The pressured columns must evict and regenerate on every benchmark.
+func evictionSuite(p SuiteParams) (*Suite, error) {
+	configs := []oracle.Config{
+		{Name: "unbounded", Opts: core.Default},
+		{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
+		{Name: "single-fragment", Opts: defaultWith(bounded(16))},
+		{Name: "adaptive", Opts: defaultWith(func(o *core.Options) {
+			bounded(2 << 10)(o)
+			o.AdaptiveCache = true
+		})},
+	}
+	n := len(configs)
+	return &Suite{
+		Cases:   benchCases(p.Benches),
+		Configs: configs,
+		Coverage: func(outs []oracle.Outcome) error {
+			var errs []error
+			var resizes uint64
+			// Outcomes come case by case, the unbounded column first.
+			for i := 0; i < len(outs); i += n {
+				var evictions, regenerations uint64
+				for _, o := range outs[i+1 : i+n] {
+					evictions += o.Stats.Evictions
+					regenerations += o.Stats.Regenerations
+					resizes += o.Stats.CacheResizes
+				}
+				if evictions == 0 || regenerations == 0 {
+					errs = append(errs, fmt.Errorf("%s: pressured columns: %d evictions, %d regenerations", outs[i].Case, evictions, regenerations))
+				}
+				if ev := outs[i].Stats.Evictions; ev != 0 {
+					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", outs[i].Case, ev))
+				}
+			}
+			return errors.Join(append(errs, requireNonzero(map[string]uint64{"cache resizes": resizes}))...)
+		},
+	}, nil
+}
+
+// iblSuite proves the indirect-branch fast path transparent: direct-mapped
+// and open-address tables at deliberately tiny sizes (long probe chains,
+// displacement), adaptive growth from 64 entries, and elision off as the
+// ablation column.
+func iblSuite(p SuiteParams) (*Suite, error) {
+	mk := func(bits uint, direct, adaptive, elide bool) func() core.Options {
+		return defaultWith(func(o *core.Options) {
+			o.IBLTableBits, o.IBLDirectMapped, o.IBLAdaptive, o.FlagsElision = bits, direct, adaptive, elide
+		})
+	}
+	noElide := []string{"direct-64", "direct-256", "open-256-noelide"}
+	return &Suite{
+		Cases: benchCases(p.Benches),
+		Configs: []oracle.Config{
+			{Name: "direct-64", Opts: mk(6, true, false, false)},
+			{Name: "direct-256", Opts: mk(8, true, false, false)},
+			{Name: "open-64", Opts: mk(6, false, false, true)},
+			{Name: "open-256", Opts: mk(8, false, false, true)},
+			{Name: "adaptive-from-64", Opts: mk(6, false, true, true)},
+			{Name: "open-256-noelide", Opts: mk(8, false, false, false)},
+		},
+		Coverage: func(outs []oracle.Outcome) error {
+			var errs []error
+			var elisions, collisions, resizes, replaced uint64
+			for _, o := range outs {
+				s := o.Stats
+				if slices.Contains(noElide, o.Config) && s.FlagsElisions+s.InlineChecksElided != 0 {
+					errs = append(errs, fmt.Errorf("%s/%s: elision ran with FlagsElision off", o.Case, o.Config))
+				}
+				if o.Config != "adaptive-from-64" && s.IBLResizes != 0 {
+					errs = append(errs, fmt.Errorf("%s/%s: table grew in a fixed-size configuration", o.Case, o.Config))
+				}
+				elisions += s.FlagsElisions + s.InlineChecksElided
+				collisions += s.IBLCollisions
+				resizes += s.IBLResizes
+				replaced += s.IBLReplaced
+			}
+			errs = append(errs, requireNonzero(map[string]uint64{
+				"flag-save elisions": elisions, "IBL collisions": collisions,
+				"IBL resizes": resizes, "IBL displacements": replaced,
+			}))
+			return errors.Join(errs...)
+		},
+	}, nil
+}
+
+// requireNonzero reports every named total that is zero.
+func requireNonzero(totals map[string]uint64) error {
+	var zero []string
+	for name, n := range totals {
+		if n == 0 {
+			zero = append(zero, name)
+		}
+	}
+	if len(zero) == 0 {
+		return nil
+	}
+	slices.Sort(zero)
+	return fmt.Errorf("the matrix recorded zero %s", strings.Join(zero, ", zero "))
+}
+
+// faultPerturbations draws one machine-fault schedule per seed.
+func faultPerturbations(seeds []int64) []oracle.Perturbation {
+	perts := make([]oracle.Perturbation, len(seeds))
+	for i, seed := range seeds {
+		perts[i] = oracle.Perturbation{Name: fmt.Sprintf("faults-%d", seed), Seed: seed, Faults: true}
+	}
+	return perts
+}
+
+// faultStormSuite replays seeded machine-fault schedules (1–3 faults at
+// system-call points of each benchmark's clean trace) natively and under an
+// unbounded, a pressured 4 KiB, and an elision-off direct-mapped runtime, so
+// fault translation is exercised with stable fragments, across FIFO eviction
+// churn, and through both forms of the IBL target prefix. The delivered
+// fault sequences (kinds, data addresses, native faulting EIPs) must agree.
+func faultStormSuite(p SuiteParams) (*Suite, error) {
+	return &Suite{
+		Cases: benchCases(p.Benches),
+		Configs: []oracle.Config{
+			{Name: "unbounded", Opts: core.Default},
+			{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
+			{Name: "direct-noelide", Opts: defaultWith(func(o *core.Options) {
+				o.IBLDirectMapped, o.IBLAdaptive, o.FlagsElision = true, false, false
+			})},
+		},
+		Perturbations: faultPerturbations(p.Seeds),
+		Coverage: func(outs []oracle.Outcome) error {
+			var errs []error
+			var translated, elided uint64
+			for _, o := range outs {
+				if o.Faults == 0 {
+					errs = append(errs, fmt.Errorf("%s/%s: no fault delivered", o.Case, o.Perturbation))
+				}
+				translated += o.Stats.FaultsTranslated
+				e := o.Stats.FlagsElisions + o.Stats.InlineChecksElided
+				if o.Config != "direct-noelide" {
+					elided += e
+				} else if e != 0 {
+					errs = append(errs, fmt.Errorf("%s/%s: elision ran in the direct-noelide column", o.Case, o.Perturbation))
+				}
+			}
+			errs = append(errs, requireNonzero(map[string]uint64{
+				"translated fault contexts": translated, "flag-save elisions in the elided columns": elided,
+			}))
+			return errors.Join(errs...)
+		},
+	}, nil
+}
+
+// chaosTune shortens the degradation ladder's time constants: native
+// windows, retry budgets and cool-downs sized for multi-second production
+// runs would let a short benchmark finish natively before stepping back up.
+func chaosTune(o *core.Options) {
+	o.NativeWindow = 500
+	o.RecoveryRetryBudget = 2
+	o.RecoveryBackoff = 2
+	o.QuarantineThreshold = 3
+	o.ReattachCooldown = 8
+}
+
+// chaosConfigs are the unbounded runtime and a pressured bounded runtime with
+// a small IBL table, so rollback is exercised both with stable fragments and
+// amid eviction churn and hashtable resizes (the only way the evict-scrub
+// and IBL-resize sites are reachable).
+func chaosConfigs() []oracle.Config {
+	return []oracle.Config{
+		{Name: "unbounded", Opts: defaultWith(chaosTune)},
+		{Name: "4k-smallibl", Opts: defaultWith(func(o *core.Options) {
+			bounded(4 << 10)(o)
+			o.IBLTableBits = 4
+			chaosTune(o)
+		})},
+	}
+}
+
+// chaosPerturbations pairs a seeded chaos.Schedule over every site with a
+// machine-fault schedule per seed (so internal failures compose with fault
+// translation, and the fault-xl8 site has something to fire on), plus one
+// Storm burst whose trigger budget exhausts mid-run: the thread must degrade
+// and then re-attach to full service.
+func chaosPerturbations(seeds []int64) []oracle.Perturbation {
+	var perts []oracle.Perturbation
+	for _, seed := range seeds {
+		perts = append(perts, oracle.Perturbation{Name: fmt.Sprintf("chaos-%d", seed), Seed: seed,
+			Faults: true, Triggers: chaos.Schedule(seed, chaos.AllSites())})
+	}
+	return append(perts, oracle.Perturbation{Name: fmt.Sprintf("storm-%d", seeds[0]), Seed: seeds[0],
+		Triggers: chaos.Storm(seeds[0])})
+}
+
+// chaosCoverage requires every injected failure to have been handled by
+// recovery (or, after a failed audit, detach), and the storm schedules to
+// complete the degradation ladder's round trip. With allSites, every chaos
+// site must also have fired somewhere.
+func chaosCoverage(allSites bool) func([]oracle.Outcome) error {
+	return func(outs []oracle.Outcome) error {
+		var errs []error
+		var reattaches uint64
+		for _, o := range outs {
+			if o.TotalFires() > 0 && o.Stats.Recoveries == 0 && o.Stats.Detaches == 0 {
+				errs = append(errs, fmt.Errorf("%s/%s/%s: %d fires but no recovery", o.Case, o.Perturbation, o.Config, o.TotalFires()))
+			}
+			reattaches += o.Stats.Reattaches
+		}
+		totals := map[string]uint64{"re-attaches": reattaches}
+		if allSites {
+			fires := SiteFires(outs)
+			for _, site := range chaos.AllSites() {
+				totals[site.String()+" fires"] = fires[site.String()]
+			}
+		}
+		return errors.Join(append(errs, requireNonzero(totals))...)
+	}
+}
+
+// SiteFires totals chaos injections per site name across outcomes.
+func SiteFires(outs []oracle.Outcome) map[string]uint64 {
+	totals := map[string]uint64{}
+	for _, o := range outs {
+		for name, n := range o.Fires {
+			totals[name] += n
+		}
+	}
+	return totals
+}
+
+// signalsCaseSrc is a call-heavy loop with a queued-signal counter: the calls
+// keep the dispatcher, IBL and trace machinery busy so chaos triggers have
+// sites to land on, and the handler count is part of the printed output so
+// dropped or duplicated deliveries break the oracle comparison.
+const signalsCaseSrc = `
+main:
+    mov ecx, 400
+loop:
+    call f0
+    call f1
+    call f2
+    call f3
+    dec ecx
+    jnz loop
+    mov eax, 3
+    mov ebx, edx
+    int 0x80
+    mov eax, 3
+    mov ebx, [hits]
+    int 0x80
+    mov eax, 1
+    mov ebx, 0
+    int 0x80
+sig:
+    inc dword [hits]
+    ret
+f0: add edx, 1
+    ret
+f1: add edx, 2
+    ret
+f2: add edx, 3
+    ret
+f3: add edx, 5
+    ret
+.org 0x9000
+hits: .word 0
+`
+
+// signalsCase queues three signal deliveries, exercising the signal site no
+// benchmark reaches on its own.
+func signalsCase() oracle.Case {
+	img := image.MustAssemble("signals", signalsCaseSrc)
+	sig := img.Symbol("sig")
+	return oracle.Case{Name: "signals", Image: img, Setup: func(m *machine.Machine) {
+		for range 3 {
+			m.QueueSignal(m.Threads[0], sig)
+		}
+	}}
+}
+
+// chaosStormSuite perturbs the runtime itself: seeded chaos schedules fire
+// synthetic internal failures at every fragile boundary while the workload
+// runs. Every failure must roll back transactionally, pass the cache
+// invariant audit and walk the degradation ladder, with the endpoint
+// bit-identical to a native run under the same machine-fault plans.
+func chaosStormSuite(p SuiteParams) (*Suite, error) {
+	return &Suite{
+		Cases:         append(benchCases(p.Benches), signalsCase()),
+		Configs:       chaosConfigs(),
+		Perturbations: chaosPerturbations(p.Seeds),
+		Coverage:      chaosCoverage(true),
+	}, nil
+}
+
+// fuzzCases generates and assembles one program per seed.
+func fuzzCases(seeds []int64, ops int) ([]oracle.Case, error) {
+	cases := make([]oracle.Case, len(seeds))
+	for i, seed := range seeds {
+		c, err := fuzz.Case(fuzz.Generate(seed, ops))
+		if err != nil {
+			return nil, err
+		}
+		cases[i] = c
+	}
+	return cases, nil
+}
+
+// fuzzSuite runs seeded generated programs under the fuzzer's four-column
+// matrix (fuzz.Configs).
+func fuzzSuite(p SuiteParams) (*Suite, error) {
+	cases, err := fuzzCases(p.FuzzSeeds, p.FuzzOps)
+	if err != nil {
+		return nil, err
+	}
+	return &Suite{Cases: cases, Configs: fuzz.Configs(), Coverage: fuzz.Coverage}, nil
+}
+
+// fuzzChaosSuite runs generated programs under the ChaosStorm perturbations
+// (the first two seeds plus the storm) and configurations: internal failures
+// and machine faults on code the benchmarks never contain.
+func fuzzChaosSuite(p SuiteParams) (*Suite, error) {
+	cases, err := fuzzCases(p.FuzzSeeds, p.FuzzOps)
+	if err != nil {
+		return nil, err
+	}
+	return &Suite{
+		Cases:         cases,
+		Configs:       chaosConfigs(),
+		Perturbations: chaosPerturbations(p.Seeds[:min(2, len(p.Seeds))]),
+		Coverage:      chaosCoverage(false),
+	}, nil
+}
+
+// FormatDiff renders a suite's outcomes: one line per case (only failing
+// cases when there are many) with the counters that show which mechanisms
+// ran, then the totals and any chaos site fires.
+func FormatDiff(s *Suite, outs []oracle.Outcome) string {
+	var b strings.Builder
+	perts := max(len(s.Perturbations), 1)
+	fmt.Fprintf(&b, "diff %s: %d cases x %d perturbations x %d configs, native vs runtime\n",
+		s.Name, len(s.Cases), perts, len(s.Configs))
+	fmt.Fprintf(&b, "%-14s %7s %6s %6s %8s %8s %6s %6s  %s\n",
+		"case", "ok", "faults", "xl8", "evict", "recover", "reatt", "fires", "status")
+	perCase := perts * len(s.Configs)
+	passed := 0
+	for i := 0; i+perCase <= len(outs); i += perCase {
+		var ok, faults int
+		var xl8, evict, recov, reatt, fires uint64
+		status := "ok"
+		for _, o := range outs[i : i+perCase] {
+			if f := o.Failure(); f == "" {
+				ok++
+			} else if status == "ok" {
+				status = fmt.Sprintf("FAIL %s/%s: %s", o.Perturbation, o.Config, f)
+			}
+			faults += o.Faults
+			xl8 += o.Stats.FaultsTranslated
+			evict += o.Stats.Evictions
+			recov += o.Stats.Recoveries
+			reatt += o.Stats.Reattaches
+			fires += o.TotalFires()
+		}
+		if ok == perCase {
+			passed++
+			if len(s.Cases) > 64 {
+				continue
+			}
+		}
+		fmt.Fprintf(&b, "%-14s %3d/%-3d %6d %6d %8d %8d %6d %6d  %s\n",
+			outs[i].Case, ok, perCase, faults, xl8, evict, recov, reatt, fires, status)
+	}
+	fmt.Fprintf(&b, "passed %d/%d cases (%d runs)\n", passed, len(s.Cases), len(outs))
+	if len(s.Cases) > 64 {
+		b.WriteString("(passing cases not listed)\n")
+	}
+	if fires := SiteFires(outs); len(fires) > 0 {
+		var reattaches uint64
+		for _, o := range outs {
+			reattaches += o.Stats.Reattaches
+		}
+		fmt.Fprintf(&b, "re-attaches total %d\n", reattaches)
+		var parts []string
+		for _, site := range chaos.AllSites() {
+			parts = append(parts, fmt.Sprintf("%s=%d", site, fires[site.String()]))
+		}
+		fmt.Fprintf(&b, "site fires: %s\n", strings.Join(parts, " "))
+	}
+	return b.String()
+}

@@ -17,11 +17,9 @@ import (
 	"repro/internal/clients/rlr"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
-
-// runLimit bounds any single simulated run.
-const runLimit = 600_000_000
 
 // NativeResult is a baseline run of a benchmark.
 type NativeResult struct {
@@ -66,7 +64,7 @@ func runNative(b *workload.Benchmark) (*NativeResult, error) {
 	e.once.Do(func() {
 		m := machine.New(machine.PentiumIV())
 		b.Image().Boot(m)
-		if err := m.Run(runLimit); err != nil {
+		if err := m.Run(oracle.RunLimit); err != nil {
 			e.err = fmt.Errorf("harness: native %s: %v", b.Name, err)
 			return
 		}
@@ -114,7 +112,7 @@ func runConfig(b *workload.Benchmark, opts core.Options, clients ...core.Client)
 	}
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), opts, nil, clients...)
-	if err := r.Run(runLimit); err != nil {
+	if err := r.Run(oracle.RunLimit); err != nil {
 		return nil, fmt.Errorf("harness: %s under %+v: %v", b.Name, opts.Mode, err)
 	}
 	if !bytes.Equal(m.Output, native.Output) {

@@ -3,12 +3,11 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -83,46 +82,20 @@ type IBLSweepRow struct {
 // cell is reported in the joined error while the rest of the matrix still
 // runs.
 func IBLSweep(workers int, benches []*workload.Benchmark, points []IBLPoint) ([]IBLSweepRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	np := len(points)
-	cells := len(benches) * np
-	if workers > cells {
-		workers = cells
-	}
 	rows := make([]IBLSweepRow, len(benches))
 	for i, b := range benches {
 		rows[i] = IBLSweepRow{Benchmark: b.Name, Class: b.Class, Cells: make([]IBLCell, np)}
 	}
-	errs := make([]error, cells)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				b, p := benches[k/np], points[k%np]
-				res, err := RunConfigErr(b, p.Options())
-				if err != nil {
-					errs[k] = fmt.Errorf("%s/%s: %w", b.Name, p.Name, err)
-					continue
-				}
-				rows[k/np].Cells[k%np] = IBLCell{
-					Normalized: res.Normalized,
-					Ticks:      res.Ticks,
-					Stats:      res.RIOStats,
-				}
-			}
-		}()
-	}
-	for k := 0; k < cells; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, errors.Join(oracle.Parallel(workers, len(benches)*np, func(k int) error {
+		b, p := benches[k/np], points[k%np]
+		res, err := RunConfigErr(b, p.Options())
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", b.Name, p.Name, err)
+		}
+		rows[k/np].Cells[k%np] = IBLCell{Normalized: res.Normalized, Ticks: res.Ticks, Stats: res.RIOStats}
+		return nil
+	})...)
 }
 
 // IBLSweepMeans returns the geometric mean of normalized time per sweep

@@ -3,10 +3,9 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -20,45 +19,23 @@ import (
 // wall-clock time. A cell that fails (or panics) is reported in the joined
 // error while the remaining cells still run.
 func RunMatrix(workers int, benches []*workload.Benchmark, opts core.Options) ([]Figure5Row, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nc := int(NumOptConfigs)
-	cells := len(benches) * nc
-	if workers > cells {
-		workers = cells
-	}
 	rows := make([]Figure5Row, len(benches))
 	for i, b := range benches {
 		rows[i] = Figure5Row{Benchmark: b.Name, Class: b.Class}
 	}
-	errs := make([]error, cells)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				b, c := benches[k/nc], OptConfig(k%nc)
-				res, err := RunConfigErr(b, opts, ClientsFor(c)...)
-				if err != nil {
-					errs[k] = fmt.Errorf("%s/%s: %w", b.Name, c, err)
-					continue
-				}
-				// Distinct cells write distinct row elements, so no
-				// further synchronization is needed beyond the WaitGroup.
-				rows[k/nc].Normalized[c] = res.Normalized
-				rows[k/nc].Ticks[c] = res.Ticks
-			}
-		}()
-	}
-	for k := 0; k < cells; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	// Distinct cells write distinct row elements, so no synchronization
+	// is needed beyond the pool's.
+	return rows, errors.Join(oracle.Parallel(workers, len(benches)*nc, func(k int) error {
+		b, c := benches[k/nc], OptConfig(k%nc)
+		res, err := RunConfigErr(b, opts, ClientsFor(c)...)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", b.Name, c, err)
+		}
+		rows[k/nc].Normalized[c] = res.Normalized
+		rows[k/nc].Ticks[c] = res.Ticks
+		return nil
+	})...)
 }
 
 // Figure5Options returns the configuration Figure 5 measures against: the

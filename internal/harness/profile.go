@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -56,7 +55,7 @@ func runProfile(b *workload.Benchmark, topN, ring int) (ProfileRow, error) {
 	opts.Profile = true
 	opts.EventRing = ring
 	r := core.New(m, b.Image(), opts, nil)
-	if err := r.Run(runLimit); err != nil {
+	if err := r.Run(oracle.RunLimit); err != nil {
 		return row, fmt.Errorf("profile: %s: %v", b.Name, err)
 	}
 	if !bytes.Equal(m.Output, native.Output) {
@@ -88,36 +87,11 @@ func runProfile(b *workload.Benchmark, topN, ring int) (ProfileRow, error) {
 // order and deterministic for any worker count; a failing benchmark is
 // reported in the joined error while the rest still run.
 func Profile(workers, topN, ring int, benches []*workload.Benchmark) ([]ProfileRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
 	rows := make([]ProfileRow, len(benches))
-	errs := make([]error, len(benches))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				row, err := runProfile(benches[k], topN, ring)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				rows[k] = row
-			}
-		}()
-	}
-	for k := range benches {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	return rows, errors.Join(errs...)
+	return rows, errors.Join(oracle.Parallel(workers, len(benches), func(k int) (err error) {
+		rows[k], err = runProfile(benches[k], topN, ring)
+		return err
+	})...)
 }
 
 // FormatProfile renders the phase breakdown as percent-of-run per benchmark

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -62,7 +60,7 @@ func runTelemetry(b *workload.Benchmark, tw *obs.TraceWriter, pid int) (Telemetr
 
 	nm := machine.New(machine.PentiumIV())
 	b.Image().Boot(nm)
-	if err := nm.Run(runLimit); err != nil {
+	if err := nm.Run(oracle.RunLimit); err != nil {
 		return row, fmt.Errorf("telemetry: native %s: %v", b.Name, err)
 	}
 	nativeTicks := nm.Ticks
@@ -80,7 +78,7 @@ func runTelemetry(b *workload.Benchmark, tw *obs.TraceWriter, pid int) (Telemetr
 	}
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), opts, nil, cl)
-	if err := r.Run(runLimit); err != nil {
+	if err := r.Run(oracle.RunLimit); err != nil {
 		return row, fmt.Errorf("telemetry: %s: %v", b.Name, err)
 	}
 
@@ -111,39 +109,15 @@ func runTelemetry(b *workload.Benchmark, tw *obs.TraceWriter, pid int) (Telemetr
 // input order. Results are in input order; a failing benchmark is reported
 // in the joined error while the rest still run.
 func Telemetry(workers int, benches []*workload.Benchmark, traceOut io.Writer) ([]TelemetryRow, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
 	var tw *obs.TraceWriter
 	if traceOut != nil {
 		tw = obs.NewTraceWriter(traceOut)
 	}
 	rows := make([]TelemetryRow, len(benches))
-	errs := make([]error, len(benches))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range jobs {
-				row, err := runTelemetry(benches[k], tw, k+1)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				rows[k] = row
-			}
-		}()
-	}
-	for k := range benches {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
+	errs := oracle.Parallel(workers, len(benches), func(k int) (err error) {
+		rows[k], err = runTelemetry(benches[k], tw, k+1)
+		return err
+	})
 	if tw != nil {
 		if err := tw.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("telemetry: closing trace-event stream: %w", err))

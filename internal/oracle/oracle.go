@@ -1,15 +1,17 @@
-// Package oracle implements the shared native-versus-runtime architectural
-// state comparison used by every differential test layer: the eviction and
-// IBL differential oracles, the FaultStorm harness and the generative
-// differential fuzzer. The contract it checks is the paper's transparency
-// guarantee — a code-cache runtime may change every performance counter but
-// must never change the state the application computes — so a captured State
-// holds exactly the observable endpoint of a run: final registers and eflags
-// per thread (EIP excepted — threads halt inside cache code whose address
-// legitimately depends on the configuration), exit codes, program output,
-// the application-memory digest, the syscall trace, and the delivered-fault
-// sequence (whose EIPs must be native application addresses, which under the
-// runtime only holds because fault translation rewinds cache contexts).
+// Package oracle implements the native-versus-runtime architectural state
+// comparison and the one differential engine built on it (Diff, diff.go),
+// which runs every transparency check in the repository: the eviction and
+// IBL suites, the fault and chaos storms, the transparency matrix and the
+// generative differential fuzzer. The contract it checks is the paper's
+// transparency guarantee — a code-cache runtime may change every performance
+// counter but must never change the state the application computes — so a
+// captured State holds exactly the observable endpoint of a run: final
+// registers and eflags per thread (EIP excepted — threads halt inside cache
+// code whose address legitimately depends on the configuration), exit codes,
+// program output, the application-memory digest, the syscall trace, and the
+// delivered-fault sequence (whose EIPs must be native application addresses,
+// which under the runtime only holds because fault translation rewinds cache
+// contexts).
 package oracle
 
 import (
