@@ -203,29 +203,6 @@ done: .word 0
 `)
 }
 
-// BenchmarkAblationCacheSize sweeps the per-thread cache capacity: small
-// caches force wholesale flushes and fragment rebuilding.
-func BenchmarkAblationCacheSize(b *testing.B) {
-	w := workload.ByName("gcc") // large footprint: feels capacity pressure
-	for _, kb := range []int{16, 64, 512, 0 /* default 2 MiB */} {
-		kb := kb
-		name := fmt.Sprintf("%dKiB", kb)
-		if kb == 0 {
-			name = "unlimited"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := core.Default()
-			opts.CacheSize = kb * 1024
-			var res *harness.ConfigResult
-			for n := 0; n < b.N; n++ {
-				res = harness.RunConfig(w, opts)
-			}
-			b.ReportMetric(res.Normalized, "normalized-time")
-			b.ReportMetric(float64(res.RIOStats.CacheFlushes), "flushes")
-		})
-	}
-}
-
 // BenchmarkAblationDispatchChain sweeps the ibdispatch compare-chain length
 // (the paper's Figure 4 inserts pairs for "the hottest targets"; more pairs
 // catch more misses but lengthen the path).

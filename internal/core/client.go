@@ -59,7 +59,7 @@ type FragmentDeletedHook interface {
 	FragmentDeleted(ctx *Context, tag machine.Addr)
 }
 
-// FragmentEvictedHook is called when a fragment is evicted from a bounded
+// FragmentEvictedHook is called when a fragment is evicted from a code
 // cache under capacity pressure (Section 6's FIFO replacement). The deleted
 // event fires too; this one additionally tells capacity-aware clients which
 // cache evicted and lets them distinguish eviction from invalidation.
@@ -67,7 +67,7 @@ type FragmentEvictedHook interface {
 	FragmentEvicted(ctx *Context, tag machine.Addr, kind FragmentKind)
 }
 
-// CacheResizedHook is called when a bounded cache's capacity grows, either
+// CacheResizedHook is called when a code cache's capacity grows, either
 // adaptively (the regeneration ratio exceeded its threshold) or because a
 // single fragment outgrew the budget.
 type CacheResizedHook interface {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/instr"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 )
 
 // runNative executes the program directly on the machine.
@@ -421,13 +422,15 @@ f:  inc ebx
 }
 
 func TestThreadPrivateCaches(t *testing.T) {
+	// Each loop outlasts the machine's scheduling quantum, so the threads
+	// interleave while both are building and running cache code.
 	img := imgOf(t, `
 main:
     mov eax, 5
     mov ebx, worker
     mov ecx, 0x200000
     int 0x80
-    mov ecx, 300
+    mov ecx, 30000
 mainloop:
     dec ecx
     jnz mainloop
@@ -437,7 +440,7 @@ wait:
     jz wait
 `+exitSnippet+`
 worker:
-    mov ecx, 300
+    mov ecx, 30000
 wloop:
     dec ecx
     jnz wloop
@@ -462,13 +465,20 @@ done: .word 0
 		t.Errorf("blocks built = %d, want each thread building privately", r.Stats.BlocksBuilt)
 	}
 
-	// The shared-cache ablation also runs correctly.
+	// The shared-cache ablation also runs correctly: both threads allocate
+	// from one region, so neither may overwrite the other's fragments.
 	opts := core.Default()
 	opts.SharedCache = true
-	m2, _ := runUnder(t, img, opts)
+	m2, r2 := runUnder(t, img, opts)
+	if msg := oracle.Mismatch(oracle.Capture(runNative(t, img)), oracle.Capture(m2)); msg != "" {
+		t.Errorf("shared cache diverged from native:\n%s", msg)
+	}
 	for _, th := range m2.Threads {
 		if !th.Halted {
 			t.Errorf("shared cache: thread %d did not halt", th.ID)
+		}
+		if err := r2.ContextOf(th).CheckCacheInvariants(); err != nil {
+			t.Errorf("shared cache: thread %d: %v", th.ID, err)
 		}
 	}
 }

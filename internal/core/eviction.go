@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/machine"
@@ -11,23 +12,28 @@ import (
 
 // Cache capacity management (Section 6 of the paper).
 //
-// Each thread-private cache (basic-block and trace) can be given a byte
-// budget. A bounded cache is managed as a circular buffer: allocation bumps
-// a pointer through [base, limit), and when the pointer runs into resident
-// code the oldest fragments are evicted to make room — FIFO replacement,
-// which the paper reports matches cleverer policies at none of the profiling
-// cost. Eviction fully unlinks the victim (outgoing links, incoming links,
-// its IBL hashtable entry), restores trace-head state so the block can
-// become hot and be rebuilt later, and hands the bytes back to the allocator
-// for reuse.
+// Every thread cache (basic-block and trace) is a circular buffer with a byte
+// capacity: the budget from Options, or the whole cacheStride reservation
+// when the budget is 0. Allocation bumps a pointer through [base, limit), and
+// when the pointer runs into resident code the oldest fragments are evicted
+// to make room — FIFO replacement, which the paper reports matches cleverer
+// policies at none of the profiling cost. Eviction fully unlinks the victim
+// (outgoing links, incoming links, its IBL hashtable entry), restores
+// trace-head state so the block can become hot and be rebuilt later, and
+// hands the bytes back to the allocator for reuse.
 //
 // Adaptive sizing (Section 6.2) watches the ratio of regenerated fragments
 // (rebuilds of previously evicted tags) to replaced fragments per epoch of
-// evictions: a high ratio means the working set does not fit and the cache
-// grows; a low ratio means the cache is comfortably cycling cold code and
-// stays put.
+// resizeEpoch evictions: more than regenThreshold regenerations means the
+// working set does not fit and the cache grows; fewer means the cache is
+// comfortably cycling cold code and stays put.
+const (
+	resizeEpoch    = 32
+	regenThreshold = 0.5
+)
 
-// cacheRegion is the allocator state of one thread cache.
+// cacheRegion is the allocator state of one thread cache (or, under the
+// SharedCache ablation, of the one cache all threads share).
 type cacheRegion struct {
 	kind FragmentKind
 
@@ -36,56 +42,59 @@ type cacheRegion struct {
 	limit machine.Addr // base + current capacity
 	max   machine.Addr // base + cacheStride: the address-reservation ceiling
 
-	// bounded selects the FIFO-evicting circular allocator; unbounded
-	// regions keep the legacy bump-then-flush-wholesale policy.
-	bounded bool
-
 	// resident holds every fragment whose bytes are still reserved in the
 	// region — live or dead-awaiting-reuse. The allocator frees space by
 	// reclaiming the nearest resident ahead of the bump pointer, which
 	// under bump allocation is also the oldest: FIFO order without a queue.
 	resident []*Fragment
 
-	// liveBytes is the aligned footprint of the non-dead residents.
+	// top is a high-water mark: every resident ends at or below it, so an
+	// allocation at or above top has no resident ahead of it.
+	top machine.Addr
+
+	// liveBytes is the aligned footprint of the non-dead residents; gauge
+	// mirrors it for concurrent StatsSnapshot readers.
 	liveBytes int
+	gauge     atomic.Int64
 
 	// Adaptive-sizing epoch counters.
 	epochEvictions int
 	epochRegens    int
 
 	// totalEvictions counts evictions over the region's whole life; it
-	// clocks the telemetry epoch (ResizeEpoch evictions each) fragment
+	// clocks the telemetry epoch (resizeEpoch evictions each) fragment
 	// lifetimes are measured in.
 	totalEvictions int
 }
 
 // epoch returns the region's current telemetry epoch.
-func (reg *cacheRegion) epoch(resizeEpoch int) int { return reg.totalEvictions / resizeEpoch }
+func (reg *cacheRegion) epoch() int { return reg.totalEvictions / resizeEpoch }
 
-// newRegion builds one thread cache's allocator state. A positive byte
-// budget selects the bounded FIFO policy — except under the SharedCache
-// ablation, where eviction is unsafe (another thread may be executing the
-// victim) and the legacy policy is kept.
-func newRegion(kind FragmentKind, base, size machine.Addr, budget int, shared bool) cacheRegion {
-	reg := cacheRegion{kind: kind, base: base, next: base, limit: base + size, max: base + cacheStride}
-	if budget > 0 && !shared {
-		b := machine.Addr((budget + 15) &^ 15)
-		if b > cacheStride {
-			b = cacheStride
-		}
-		reg.limit = base + b
-		reg.bounded = true
+// newRegion builds one cache's allocator state with a byte budget; 0 means
+// the whole address reservation.
+func newRegion(kind FragmentKind, base machine.Addr, budget int) *cacheRegion {
+	capacity := machine.Addr((budget + 15) &^ 15)
+	if capacity == 0 || capacity > cacheStride {
+		capacity = cacheStride
 	}
-	return reg
+	return &cacheRegion{kind: kind, base: base, next: base, top: base,
+		limit: base + capacity, max: base + cacheStride}
 }
 
 func (reg *cacheRegion) capacity() int { return int(reg.limit - reg.base) }
 
-// reset empties the region's allocator state (wholesale flush).
+// addLive adjusts the live-byte accounting and publishes it to the gauge.
+func (reg *cacheRegion) addLive(n int) {
+	reg.liveBytes += n
+	reg.gauge.Store(int64(reg.liveBytes))
+}
+
+// reset empties the region's allocator state (detach teardown).
 func (reg *cacheRegion) reset() {
 	reg.next = reg.base
+	reg.top = reg.base
 	reg.resident = reg.resident[:0]
-	reg.liveBytes = 0
+	reg.addLive(-reg.liveBytes)
 }
 
 // alignedSize is the cache footprint of a fragment: emitted bytes rounded up
@@ -99,9 +108,9 @@ func (f *Fragment) Dead() bool { return f.dead }
 // region returns the allocator state for a fragment kind.
 func (c *Context) region(kind FragmentKind) *cacheRegion {
 	if kind == KindTrace {
-		return &c.trace
+		return c.trace
 	}
-	return &c.bb
+	return c.bb
 }
 
 // evictedEvent and resizedEvent are deferred client notifications, delivered
@@ -117,11 +126,15 @@ type resizedEvent struct {
 	newBytes int
 }
 
-// allocBounded reserves n bytes in a bounded region, evicting the oldest
-// resident fragments as needed. Callers guarantee the thread is outside the
-// code cache (the dispatcher invariant) — except under inReplace, where no
-// resident bytes may be reused and the region grows instead.
-func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
+// allocCache reserves n bytes in the basic-block or trace cache, evicting
+// the oldest resident fragments as needed. Reuse is safe because fragment
+// construction only happens from the dispatcher, when the thread is outside
+// the code cache. Two callers may not reuse resident bytes, because a thread
+// may be executing them: a replacement in flight (inReplace) and the
+// SharedCache ablation (another thread may be inside any fragment). Those
+// jump past everything and grow the region instead.
+func (c *Context) allocCache(kind FragmentKind, n int) machine.Addr {
+	reg := c.region(kind)
 	need := machine.Addr((n + 15) &^ 15)
 	// A fragment larger than the whole budget forces a permanent grow: the
 	// budget is a working-set target, not a correctness bound.
@@ -143,15 +156,13 @@ func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
 			return a
 		}
 		if obstacle != nil {
-			if c.inReplace {
-				// The thread may be executing resident code: nothing may
-				// be reused. Jump past everything and extend the region.
+			if c.inReplace || c.rio.Opts.SharedCache {
 				before := reg.capacity()
 				reg.next = reg.limit
 				c.growRegion(reg, before+int(need))
 				if reg.capacity() == before {
-					panic(fmt.Sprintf("core: %s cache reservation exhausted during replacement (thread %d)",
-						reg.kind, c.thread.ID))
+					panic(fmt.Sprintf("core: %s cache reservation exhausted (thread %d, need %d bytes)",
+						reg.kind, c.thread.ID, n))
 				}
 				continue
 			}
@@ -164,7 +175,7 @@ func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
 			// A full lap without room means the region cannot hold the
 			// fragment even when empty; the grow above prevents this
 			// unless the address reservation itself is exhausted.
-			panic(fmt.Sprintf("core: bounded %s cache cannot place %d bytes (thread %d)",
+			panic(fmt.Sprintf("core: %s cache cannot place %d bytes (thread %d)",
 				reg.kind, n, c.thread.ID))
 		}
 		wrapped = true
@@ -175,8 +186,12 @@ func (c *Context) allocBounded(reg *cacheRegion, n int) machine.Addr {
 // nearestResident returns the resident fragment with the lowest entry at or
 // above a, or nil. Bump allocation makes address order equal allocation
 // order, so the nearest fragment ahead of the pointer is the oldest one
-// still occupying space — the FIFO victim.
+// still occupying space — the FIFO victim. Until the region first wraps the
+// pointer sits at the high-water mark, and the answer is nil without a scan.
 func (reg *cacheRegion) nearestResident(a machine.Addr) *Fragment {
+	if a >= reg.top {
+		return nil
+	}
 	var best *Fragment
 	for _, f := range reg.resident {
 		if f.Entry >= a && (best == nil || f.Entry < best.Entry) {
@@ -269,11 +284,11 @@ func (c *Context) evict(f *Fragment) {
 	reg := c.region(f.Kind)
 	r.hists.Observe(obs.MetricEvictScrubBytes, uint64(f.alignedSize()))
 	r.hists.Observe(obs.MetricFragLifetimeEpochs,
-		uint64(reg.epoch(r.Opts.ResizeEpoch)-f.birthEpoch))
+		uint64(reg.epoch()-f.birthEpoch))
 	reg.totalEvictions++
 	reg.epochEvictions++
-	if r.Opts.AdaptiveCache && reg.epochEvictions >= r.Opts.ResizeEpoch {
-		if float64(reg.epochRegens) > r.Opts.RegenThreshold*float64(reg.epochEvictions) {
+	if r.Opts.AdaptiveCache && reg.epochEvictions >= resizeEpoch {
+		if float64(reg.epochRegens) > regenThreshold*float64(reg.epochEvictions) {
 			c.growRegion(reg, 2*reg.capacity())
 		}
 		reg.epochEvictions, reg.epochRegens = 0, 0
@@ -308,7 +323,7 @@ func (c *Context) scrubEvicted(f *Fragment) {
 	delete(c.headCounter, f.Tag)
 }
 
-// growRegion raises a bounded region's capacity to at least newCap bytes,
+// growRegion raises a region's capacity to at least newCap bytes,
 // clamped to the per-thread address reservation, and queues the client
 // resize event.
 func (c *Context) growRegion(reg *cacheRegion, newCap int) {
@@ -344,10 +359,7 @@ func (c *Context) killFragment(f *Fragment) {
 		r.unlink(e)
 	}
 	f.dead = true
-	if reg := f.ctx.region(f.Kind); reg.bounded {
-		reg.liveBytes -= f.alignedSize()
-		f.ctx.updateLiveGauges()
-	}
+	f.ctx.region(f.Kind).addLive(-f.alignedSize())
 	c.pendingDeleted = append(c.pendingDeleted, f)
 }
 
@@ -355,28 +367,16 @@ func (c *Context) killFragment(f *Fragment) {
 // allocator and counts regenerations (rebuilds of tags evicted earlier).
 func (c *Context) noteFragment(f *Fragment) {
 	reg := c.region(f.Kind)
-	if !reg.bounded {
-		return
-	}
 	reg.resident = append(reg.resident, f)
-	reg.liveBytes += f.alignedSize()
-	f.birthEpoch = reg.epoch(c.rio.Opts.ResizeEpoch)
-	c.updateLiveGauges()
+	reg.top = max(reg.top, f.Entry+machine.Addr(f.alignedSize()))
+	reg.addLive(f.alignedSize())
+	f.birthEpoch = reg.epoch()
 	bit := uint8(1) << f.Kind
 	if c.evicted[f.Tag]&bit != 0 {
 		c.evicted[f.Tag] &^= bit
 		statInc(&c.rio.Stats.Regenerations)
 		reg.epochRegens++
 	}
-}
-
-// updateLiveGauges publishes the per-region live-byte counts to this
-// context's atomic gauges, which StatsSnapshot aggregates across threads
-// (the per-thread gauges are authoritative; a global mirror would be
-// last-writer-wins across threads).
-func (c *Context) updateLiveGauges() {
-	c.liveBB.Store(int64(c.bb.liveBytes))
-	c.liveTrace.Store(int64(c.trace.liveBytes))
 }
 
 // CacheUsage reports the live fragment bytes and current capacity of one of
@@ -389,9 +389,9 @@ func (c *Context) CacheUsage(kind FragmentKind) (liveBytes, capacity int) {
 // CheckCacheInvariants validates the runtime's cache data structures after
 // eviction activity, returning the first violation found:
 //
-//   - residents of a bounded cache lie inside the region and are pairwise
-//     disjoint (freed bytes are reused, never double-booked), and the live
-//     ones match the byte accounting and fit the budget;
+//   - residents lie inside the region and below its high-water mark, and
+//     are pairwise disjoint (freed bytes are reused, never double-booked),
+//     and the live ones match the byte accounting and fit the budget;
 //   - no live fragment's outgoing link targets a dead fragment, and every
 //     link is mirrored by the target's incoming-link record;
 //   - no IBL hashtable entry maps a tag to an address that is not the entry
@@ -407,10 +407,7 @@ func (c *Context) CacheUsage(kind FragmentKind) (liveBytes, capacity int) {
 // It is the oracle behind the eviction property tests and is cheap enough to
 // run after every dispatch in them.
 func (c *Context) CheckCacheInvariants() error {
-	for _, reg := range []*cacheRegion{&c.bb, &c.trace} {
-		if !reg.bounded {
-			continue
-		}
+	for _, reg := range []*cacheRegion{c.bb, c.trace} {
 		live := 0
 		frags := append([]*Fragment(nil), reg.resident...)
 		sort.Slice(frags, func(i, j int) bool { return frags[i].Entry < frags[j].Entry })
@@ -419,9 +416,9 @@ func (c *Context) CheckCacheInvariants() error {
 			if !f.dead {
 				live += f.alignedSize()
 			}
-			if f.Entry < reg.base || f.Entry+machine.Addr(f.alignedSize()) > reg.limit {
-				return fmt.Errorf("%s fragment %v outside region [%#x,%#x)",
-					reg.kind, f, reg.base, reg.limit)
+			if end := f.Entry + machine.Addr(f.alignedSize()); f.Entry < reg.base || end > reg.limit || end > reg.top {
+				return fmt.Errorf("%s fragment %v outside region [%#x,%#x) or above its high-water mark %#x",
+					reg.kind, f, reg.base, reg.limit, reg.top)
 			}
 			if i > 0 && f.Entry < prevEnd {
 				return fmt.Errorf("%s fragments overlap at %#x", reg.kind, f.Entry)

@@ -175,7 +175,7 @@ type Fragment struct {
 	prof *fragProf
 
 	// birthEpoch is the owning region's eviction epoch when the fragment
-	// was registered (bounded caches only) — the reference point for the
+	// was registered — the reference point for the
 	// fragment-lifetime-in-epochs telemetry histogram.
 	birthEpoch int
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ia32"
 	"repro/internal/image"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 )
 
 func TestContextAccessors(t *testing.T) {
@@ -140,9 +141,9 @@ func TestMachineMiscAccessors(t *testing.T) {
 	}
 }
 
-func TestCacheFlushOnFull(t *testing.T) {
-	// A program with a large code footprint forced through a tiny cache:
-	// flushes must occur and execution stay correct.
+func TestCacheEvictsOnFull(t *testing.T) {
+	// A program with a large code footprint forced through tiny caches: the
+	// FIFO allocator must evict and regenerate, and execution stay correct.
 	src := "main:\n    mov ecx, 6\nouter:\n    push ecx\n"
 	for i := 0; i < 40; i++ {
 		src += "    call fn" + itoa(i) + "\n"
@@ -172,51 +173,46 @@ func TestCacheFlushOnFull(t *testing.T) {
 
 	m := machine.New(machine.PentiumIV())
 	opts := core.Default()
-	opts.CacheSize = 2048 // far smaller than the program's footprint
+	opts.BBCacheSize, opts.TraceCacheSize = 2048, 2048 // far smaller than the program's footprint
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if m.OutputString() != native.OutputString() {
-		t.Errorf("output %q != native %q", m.OutputString(), native.OutputString())
+	if msg := oracle.Mismatch(oracle.Capture(native), oracle.Capture(m)); msg != "" {
+		t.Errorf("diverged from native:\n%s", msg)
 	}
-	if r.Stats.CacheFlushes == 0 {
-		t.Error("no cache flushes despite tiny cache")
+	if r.Stats.Evictions == 0 || r.Stats.Regenerations == 0 {
+		t.Errorf("evictions=%d regenerations=%d, want both > 0 in a 2 KiB cache",
+			r.Stats.Evictions, r.Stats.Regenerations)
 	}
 	if r.Stats.FragmentsDeleted == 0 {
-		t.Error("flushes should deliver deletion events")
+		t.Error("evictions should deliver deletion events")
 	}
-	t.Logf("flushes=%d blocksBuilt=%d deleted=%d",
-		r.Stats.CacheFlushes, r.Stats.BlocksBuilt, r.Stats.FragmentsDeleted)
 }
 
-func TestCacheTooSmallForOneFragmentRecovers(t *testing.T) {
-	// A fragment that cannot fit the cache even after a flush used to be a
-	// fatal allocator panic, then a one-way detach; with transactional
-	// recovery the failed emit rolls back, the oversized tag is retried in a
-	// native window, and the thread finishes without ever detaching.
+func TestCacheTooSmallForOneFragmentGrows(t *testing.T) {
+	// A fragment larger than the whole budget grows the cache for good: the
+	// budget is a working-set target, not a correctness bound, so the
+	// fragment is emitted with no recovery, native window or detach.
 	img := image.MustAssemble("t", "main:\n"+strings.Repeat("    add eax, 0x12345678\n", 60)+" hlt\n")
 	m := machine.New(machine.PentiumIV())
 	opts := core.Default()
-	opts.CacheSize = 64
+	opts.BBCacheSize, opts.TraceCacheSize = 64, 64
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.Recoveries == 0 {
-		t.Error("fragment larger than the cache should trigger a recovery")
+	if r.Stats.CacheResizes == 0 {
+		t.Error("fragment larger than the cache should grow it")
 	}
-	if r.Stats.NativeWindows == 0 {
-		t.Error("the oversized tag should run in a native window")
+	if r.Stats.Recoveries != 0 || r.Stats.NativeWindows != 0 || r.Stats.Detaches != 0 {
+		t.Errorf("recoveries=%d native windows=%d detaches=%d, want all 0",
+			r.Stats.Recoveries, r.Stats.NativeWindows, r.Stats.Detaches)
 	}
-	if r.Stats.Detaches != 0 {
-		t.Errorf("Detaches = %d, want 0: a rollback-clean failure must not detach",
-			r.Stats.Detaches)
+	if _, capacity := r.ContextOf(m.Threads[0]).CacheUsage(core.KindBasicBlock); capacity <= 64 {
+		t.Errorf("bb cache capacity = %d, want grown past the 64-byte budget", capacity)
 	}
 	if !m.Threads[0].Halted {
-		t.Error("thread should still run to completion natively")
-	}
-	if ctx := r.ContextOf(m.Threads[0]); ctx == nil || ctx.Detached() {
-		t.Error("context should stay attached")
+		t.Error("thread should run to completion")
 	}
 }

@@ -14,8 +14,6 @@
 package core
 
 import (
-	"io"
-
 	"repro/internal/chaos"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -90,30 +88,22 @@ type Options struct {
 	// discards the pushed flags word.
 	FlagsElision bool
 
-	// CacheSize caps each thread's basic-block cache and trace cache, in
-	// bytes (0 = the 2 MiB default, effectively the paper's "unlimited
-	// cache space" for these workloads). When a cache fills, the runtime
-	// flushes it and rebuilds from scratch — the coarse policy early
-	// Dynamo-family systems used.
-	CacheSize int
-
-	// BBCacheSize and TraceCacheSize give the basic-block and trace caches
-	// individual byte budgets managed by FIFO eviction (Section 6): when a
-	// bounded cache fills, the oldest fragments are evicted one at a time
-	// and their space reused, instead of the wholesale CacheSize flush.
-	// 0 leaves the cache unbounded. Ignored under SharedCache, where
-	// another thread may be executing the eviction victim.
+	// BBCacheSize and TraceCacheSize give each thread's basic-block and
+	// trace caches byte budgets managed by FIFO eviction (Section 6): when
+	// a cache fills, the oldest fragments are evicted one at a time and
+	// their space reused. 0 means the whole 2 MiB per-thread reservation,
+	// effectively the paper's "unlimited cache space" for these workloads.
+	// Ignored under SharedCache, whose one cache never reuses bytes
+	// because another thread may be executing the eviction victim.
 	BBCacheSize    int
 	TraceCacheSize int
 
-	// AdaptiveCache lets a bounded cache grow itself: per epoch of
-	// ResizeEpoch evictions, if more than RegenThreshold of the evicted
-	// fragments were regenerations (rebuilds of previously evicted code),
-	// the working set does not fit and the cache capacity doubles
-	// (Section 6.2's regeneration/replacement ratio).
-	AdaptiveCache  bool
-	RegenThreshold float64 // default 0.5
-	ResizeEpoch    int     // default 32 evictions per epoch
+	// AdaptiveCache lets a cache grow itself: per epoch of 32 evictions,
+	// if more than half of the evicted fragments were regenerations
+	// (rebuilds of previously evicted code), the working set does not fit
+	// and the cache capacity doubles (Section 6.2's
+	// regeneration/replacement ratio).
+	AdaptiveCache bool
 
 	// Chaos, when set, drives the named injection sites at every fragile
 	// runtime boundary (see internal/chaos): a firing trigger panics at the
@@ -173,22 +163,16 @@ type Options struct {
 	// site.
 	EventRing int
 
-	// TraceEventWriter, when set, streams the run as Chrome trace-event
-	// JSON (Perfetto-loadable): complete events for the
+	// TraceEvents, when set, streams the run as Chrome trace-event JSON
+	// (Perfetto-loadable): complete events for the
 	// dispatch/block-build/trace-build/evict/fault-translation spans with
 	// tick timestamps, instant events for the discrete ring events, one
 	// track per simulated thread plus a counter track for live cache
-	// bytes. The runtime owns the stream and terminates the JSON document
-	// at exit. Span export reads the clock without charging it, so it
-	// never perturbs simulated behaviour.
-	TraceEventWriter io.Writer
-
-	// TraceEvents routes span export into a caller-owned TraceWriter
-	// instead — several runtimes (one per benchmark) can share one
-	// Perfetto file, distinguished by process id. The caller closes the
-	// writer; TraceEventPID and TraceEventProcess name this runtime's
-	// process track (pid defaults to 1). Ignored when TraceEventWriter is
-	// also set.
+	// bytes. The caller owns the writer and closes it; several runtimes
+	// (one per benchmark) can share one Perfetto file, distinguished by
+	// process id. TraceEventPID and TraceEventProcess name this runtime's
+	// process track (pid defaults to 1). Span export reads the clock
+	// without charging it, so it never perturbs simulated behaviour.
 	TraceEvents       *obs.TraceWriter
 	TraceEventPID     int
 	TraceEventProcess string

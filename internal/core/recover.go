@@ -347,7 +347,6 @@ func (r *RIO) reclaimDetached(ctx *Context) {
 			}
 			ctx.bb.reset()
 			ctx.trace.reset()
-			ctx.updateLiveGauges()
 			ctx.xl8Frags = ctx.xl8Frags[:0]
 			ctx.selecting = false
 			ctx.selUnlinked = nil

@@ -144,9 +144,9 @@ func (r *RIO) runSideline(ctx *Context) {
 
 // FlushAll removes every fragment of this thread's caches (the
 // coarse-grained alternative to adaptive replacement that the paper
-// criticizes DELI for). Deletion events are delivered at the next safe
-// point. Cache memory is not reused; the caches grow monotonically, as the
-// paper's unlimited-cache evaluation configuration does.
+// criticizes DELI for; the runtime itself never flushes). Deletion events
+// are delivered at the next safe point. The dead fragments stay resident
+// until the FIFO allocator reaches them and reuses their bytes.
 func (c *Context) FlushAll() {
 	for _, f := range c.frags {
 		for other := f; other != nil; other = other.shadowedBy {

@@ -24,7 +24,6 @@ type Stats struct {
 	CleanCalls       uint64
 	Replacements     uint64
 	FragmentsDeleted uint64
-	CacheFlushes     uint64
 	StaleFragments   uint64
 	TraceHeadBumps   uint64
 	EmulatedInstrs   uint64
@@ -35,7 +34,7 @@ type Stats struct {
 	FragmentsDeletedBB    uint64
 	FragmentsDeletedTrace uint64
 
-	// Bounded-cache management (Section 6): fragments evicted under
+	// Cache capacity management (Section 6): fragments evicted under
 	// capacity pressure, evicted fragments later rebuilt (the signal
 	// driving adaptive sizing), and adaptive/forced capacity grows.
 	Evictions     uint64
@@ -83,8 +82,8 @@ type Stats struct {
 	// Anomalies counts pathology-watchdog detections (Options.Watchdog).
 	Anomalies uint64
 
-	// Live-fragment byte gauges. The authoritative per-thread gauges live
-	// on each Context; StatsSnapshot aggregates them across threads at
+	// Live-fragment byte gauges. The authoritative gauges live on each
+	// cache region; StatsSnapshot aggregates them across regions at
 	// snapshot time. These fields are only populated in snapshots — in
 	// the RIO's own Stats they stay zero.
 	BBCacheLiveBytes    uint64
@@ -116,17 +115,14 @@ type RIO struct {
 
 	// Live telemetry (see telemetry.go). hists is always on — observation
 	// is allocation-free atomics and never charges simulated time. spans
-	// is the Chrome trace-event exporter (nil when off); ownSpans marks a
-	// writer this runtime created from Options.TraceEventWriter and must
-	// close at exit. wd is the pathology watchdog (nil when off), pumped
-	// from the dispatcher every wd.Interval() ticks; wdNext is the next
-	// pump deadline.
-	hists    obs.Histograms
-	spans    *obs.TraceWriter
-	spanPid  int
-	ownSpans bool
-	wd       *obs.Watchdog
-	wdNext   uint64
+	// is the Chrome trace-event exporter (nil when off). wd is the
+	// pathology watchdog (nil when off), pumped from the dispatcher every
+	// wd.Interval() ticks; wdNext is the next pump deadline.
+	hists   obs.Histograms
+	spans   *obs.TraceWriter
+	spanPid int
+	wd      *obs.Watchdog
+	wdNext  uint64
 
 	linkstubs []*Exit
 
@@ -139,7 +135,7 @@ type RIO struct {
 	// Transactional-recovery state (see recover.go): the undo/repair log
 	// of in-flight cache mutations, the dispatch/recovery nesting flags
 	// that gate chaos injection, and a suppression counter for wholesale
-	// operations that have no incremental repair (flushForReuse).
+	// operations that have no incremental repair (detach teardown).
 	txnLog        []func()
 	inDispatch    int
 	inRecovery    bool
@@ -147,9 +143,11 @@ type RIO struct {
 
 	cleanCalls []func(*Context)
 
-	// sharedFrags backs every context's fragment map in the SharedCache
-	// ablation.
+	// sharedFrags, sharedBB and sharedTrace back every context's fragment
+	// map and cache regions in the SharedCache ablation.
 	sharedFrags map[machine.Addr]*Fragment
+	sharedBB    *cacheRegion
+	sharedTrace *cacheRegion
 
 	// exiting guards against double exit-event delivery.
 	exited bool
@@ -174,12 +172,6 @@ func New(m *machine.Machine, img *image.Image, opts Options, out io.Writer, clie
 	}
 	if opts.IBLTableBits > maxIBLTableBits {
 		opts.IBLTableBits = maxIBLTableBits
-	}
-	if opts.RegenThreshold <= 0 {
-		opts.RegenThreshold = 0.5
-	}
-	if opts.ResizeEpoch <= 0 {
-		opts.ResizeEpoch = 32
 	}
 	if opts.NativeWindow == 0 {
 		opts.NativeWindow = 2000
@@ -207,6 +199,8 @@ func New(m *machine.Machine, img *image.Image, opts Options, out io.Writer, clie
 	}
 	if opts.SharedCache {
 		r.sharedFrags = map[machine.Addr]*Fragment{}
+		r.sharedBB = newRegion(KindBasicBlock, bbCacheBase, 0)
+		r.sharedTrace = newRegion(KindTrace, traceCacheBase, 0)
 	}
 	r.initSpans()
 	if opts.Watchdog {
@@ -281,16 +275,13 @@ func (r *RIO) setupThread(t *machine.Thread, startTag machine.Addr) {
 	if r.Opts.SharedCache {
 		slot = 0
 		ctx.frags = r.sharedFrags
+		ctx.bb, ctx.trace = r.sharedBB, r.sharedTrace
 	} else {
 		ctx.frags = map[machine.Addr]*Fragment{}
-	}
-	size := cacheStride
-	if r.Opts.CacheSize > 0 && machine.Addr(r.Opts.CacheSize) < cacheStride {
-		size = machine.Addr(r.Opts.CacheSize)
+		ctx.bb = newRegion(KindBasicBlock, bbCacheBase+slot*cacheStride, r.Opts.BBCacheSize)
+		ctx.trace = newRegion(KindTrace, traceCacheBase+slot*cacheStride, r.Opts.TraceCacheSize)
 	}
 	ctx.tls = tlsBase + machine.Addr(t.ID)*tlsStride // TLS is always private
-	ctx.bb = newRegion(KindBasicBlock, bbCacheBase+slot*cacheStride, size, r.Opts.BBCacheSize, r.Opts.SharedCache)
-	ctx.trace = newRegion(KindTrace, traceCacheBase+slot*cacheStride, size, r.Opts.TraceCacheSize, r.Opts.SharedCache)
 	ctx.tableBase = tlsBase + slot*tlsStride + offIBLTable
 	ctx.tableBits = r.Opts.IBLTableBits
 	ctx.tableMask = 1<<ctx.tableBits - 1
@@ -400,7 +391,6 @@ func (r *RIO) fireExitEvents() {
 			h.Exit(r)
 		}
 	}
-	r.closeSpans()
 }
 
 // Histograms returns the runtime's distribution metrics. The histograms are

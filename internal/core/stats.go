@@ -8,7 +8,7 @@ import "sync/atomic"
 // parallel sweep collecting results. Every write to a Stats counter
 // therefore goes through statInc/statAdd (atomic adds), and concurrent
 // readers use StatsSnapshot, which atomically loads each counter and
-// aggregates the live-byte gauges across all thread contexts. Reading
+// aggregates the live-byte gauges across all cache regions. Reading
 // r.Stats fields directly remains fine once the run has finished.
 
 // statInc atomically increments one Stats counter.
@@ -30,8 +30,8 @@ func statMax(p *uint64, v uint64) {
 
 // StatsSnapshot returns a consistent copy of the runtime's counters, safe
 // to call concurrently with running threads. The live-byte gauges are
-// aggregated across every thread's cache regions at snapshot time — the
-// per-context gauges are authoritative, so multi-thread runs report true
+// aggregated across every distinct cache region at snapshot time — the
+// per-region gauges are authoritative, so multi-thread runs report true
 // totals instead of the last writer's value.
 func (r *RIO) StatsSnapshot() Stats {
 	s := Stats{
@@ -46,7 +46,6 @@ func (r *RIO) StatsSnapshot() Stats {
 		FragmentsDeleted:      atomic.LoadUint64(&r.Stats.FragmentsDeleted),
 		FragmentsDeletedBB:    atomic.LoadUint64(&r.Stats.FragmentsDeletedBB),
 		FragmentsDeletedTrace: atomic.LoadUint64(&r.Stats.FragmentsDeletedTrace),
-		CacheFlushes:          atomic.LoadUint64(&r.Stats.CacheFlushes),
 		StaleFragments:        atomic.LoadUint64(&r.Stats.StaleFragments),
 		TraceHeadBumps:        atomic.LoadUint64(&r.Stats.TraceHeadBumps),
 		EmulatedInstrs:        atomic.LoadUint64(&r.Stats.EmulatedInstrs),
@@ -71,8 +70,11 @@ func (r *RIO) StatsSnapshot() Stats {
 	}
 	r.ctxMu.RLock()
 	for _, ctx := range r.contexts {
-		s.BBCacheLiveBytes += uint64(ctx.liveBB.Load())
-		s.TraceCacheLiveBytes += uint64(ctx.liveTrace.Load())
+		s.BBCacheLiveBytes += uint64(ctx.bb.gauge.Load())
+		s.TraceCacheLiveBytes += uint64(ctx.trace.gauge.Load())
+		if r.Opts.SharedCache {
+			break // every context points at the one shared region pair
+		}
 	}
 	r.ctxMu.RUnlock()
 	return s

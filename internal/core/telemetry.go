@@ -12,18 +12,12 @@ import (
 // always on; their Observe calls are sprinkled at the phase-bracket sites
 // and likewise never charge simulated time.
 
-// initSpans wires up the trace-event exporter from Options. A writer given
-// via TraceEventWriter is wrapped and owned (terminated at exit); a
-// TraceWriter given via TraceEvents is shared — several runtimes append to
-// one Perfetto file under distinct pids and the caller closes it.
+// initSpans wires up the trace-event exporter from Options.TraceEvents,
+// which the caller owns and closes — several runtimes can append to one
+// Perfetto file under distinct pids.
 func (r *RIO) initSpans() {
-	switch {
-	case r.Opts.TraceEventWriter != nil:
-		r.spans = obs.NewTraceWriter(r.Opts.TraceEventWriter)
-		r.ownSpans = true
-	case r.Opts.TraceEvents != nil:
-		r.spans = r.Opts.TraceEvents
-	default:
+	r.spans = r.Opts.TraceEvents
+	if r.spans == nil {
 		return
 	}
 	r.spanPid = r.Opts.TraceEventPID
@@ -35,13 +29,6 @@ func (r *RIO) initSpans() {
 		name = "rio"
 	}
 	r.spans.Process(r.spanPid, name)
-}
-
-// closeSpans terminates an owned trace-event stream at exit.
-func (r *RIO) closeSpans() {
-	if r.spans != nil && r.ownSpans {
-		r.spans.Close()
-	}
 }
 
 // spanThreadMeta names the thread's track.
@@ -115,19 +102,9 @@ func (r *RIO) spanCacheCounter(ctx *Context) {
 		return
 	}
 	r.spans.Counter(r.spanPid, ctx.thread.ID, "cache-bytes", r.M.Now(), map[string]any{
-		"bb":    regionLiveBytes(&ctx.bb),
-		"trace": regionLiveBytes(&ctx.trace),
+		"bb":    int64(ctx.bb.liveBytes),
+		"trace": int64(ctx.trace.liveBytes),
 	})
-}
-
-// regionLiveBytes is the counter-track sample for one cache region: the
-// live-byte accounting where eviction maintains it, the bump-allocator
-// occupancy for unbounded regions (which never free individually).
-func regionLiveBytes(reg *cacheRegion) int64 {
-	if reg.bounded {
-		return int64(reg.liveBytes)
-	}
-	return int64(reg.next - reg.base)
 }
 
 // noteWindowEnd observes the length of a just-finished native cool-down

@@ -60,11 +60,15 @@ func TestTraceEventExportValidJSON(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	opts := telemetryOpts()
-	opts.TraceEventWriter = &buf
+	tw := obs.NewTraceWriter(&buf)
+	opts.TraceEvents = tw
 	opts.TraceEventProcess = "bench:crafty"
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), opts, nil)
 	if err := r.Run(telemetryRunLimit); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,11 +339,15 @@ inner:
 
 	var buf bytes.Buffer
 	opts := telemetryOpts()
-	opts.TraceEventWriter = &buf
+	tw := obs.NewTraceWriter(&buf)
+	opts.TraceEvents = tw
 	opts.BBCacheSize = 4096
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil)
 	if err := r.Run(80_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got := oracle.Capture(m)
@@ -347,7 +355,7 @@ inner:
 		t.Errorf("all-telemetry-on run diverged from native:\n%s", msg)
 	}
 	if !json.Valid(buf.Bytes()) {
-		t.Error("trace-event stream not valid JSON after Run")
+		t.Error("trace-event stream not valid JSON after Close")
 	}
 	_ = r
 }

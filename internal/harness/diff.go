@@ -173,7 +173,8 @@ func verifySuite(p SuiteParams) (*Suite, error) {
 // evictionSuite proves FIFO eviction and adaptive sizing transparent: an
 // unbounded cache, a 4 KiB cache, a maximally thrashing cache (a 16-byte
 // budget ratchets capacity to the largest fragment seen) and an adaptive
-// cache. The pressured columns must evict and regenerate on every benchmark.
+// cache. The pressured columns must evict and regenerate on every benchmark;
+// the unbounded column must never evict and must report live cache bytes.
 func evictionSuite(p SuiteParams) (*Suite, error) {
 	configs := []oracle.Config{
 		{Name: "unbounded", Opts: core.Default},
@@ -202,8 +203,12 @@ func evictionSuite(p SuiteParams) (*Suite, error) {
 				if evictions == 0 || regenerations == 0 {
 					errs = append(errs, fmt.Errorf("%s: pressured columns: %d evictions, %d regenerations", outs[i].Case, evictions, regenerations))
 				}
-				if ev := outs[i].Stats.Evictions; ev != 0 {
-					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", outs[i].Case, ev))
+				u := outs[i].Stats
+				if u.Evictions != 0 {
+					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", outs[i].Case, u.Evictions))
+				}
+				if u.BBCacheLiveBytes == 0 || u.TraceCacheLiveBytes == 0 {
+					errs = append(errs, fmt.Errorf("%s: unbounded live-byte gauges read bb=%d trace=%d", outs[i].Case, u.BBCacheLiveBytes, u.TraceCacheLiveBytes))
 				}
 			}
 			return errors.Join(append(errs, requireNonzero(map[string]uint64{"cache resizes": resizes}))...)

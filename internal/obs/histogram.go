@@ -156,8 +156,8 @@ const (
 	MetricIBLProbeLen
 	// MetricEvictScrubBytes is the bytes scrubbed per eviction victim.
 	MetricEvictScrubBytes
-	// MetricFragLifetimeEpochs is the eviction epochs (ResizeEpoch
-	// evictions each) an evicted fragment survived between build and
+	// MetricFragLifetimeEpochs is the eviction epochs (32 evictions of
+	// the owning cache each) an evicted fragment survived between build and
 	// eviction.
 	MetricFragLifetimeEpochs
 	NumMetrics
