@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -15,8 +16,41 @@ import (
 	"repro/internal/image"
 	"repro/internal/instr"
 	"repro/internal/machine"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
+
+// verified runs the benchmarks under the configs on the differential engine
+// and returns the outcomes, case-major; any cell that fails the oracle fails
+// tb. Every number these benchmarks report is a verified cell, as in drbench.
+func verified(tb testing.TB, benches []*workload.Benchmark, configs ...oracle.Config) []oracle.Outcome {
+	tb.Helper()
+	cases := make([]oracle.Case, len(benches))
+	for i, w := range benches {
+		cases[i] = oracle.Case{Name: w.Name, Image: w.Image()}
+	}
+	outs, err := oracle.Diff(0, cases, configs, nil)
+	for _, o := range outs {
+		if f := o.Failure(); f != "" {
+			err = errors.Join(err, fmt.Errorf("%s/%s: %s", o.Case, o.Config, f))
+		}
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return outs
+}
+
+// cell runs one benchmark under one config and returns its verified outcome.
+func cell(tb testing.TB, w *workload.Benchmark, cfg oracle.Config) oracle.Outcome {
+	return verified(tb, []*workload.Benchmark{w}, cfg)[0]
+}
+
+// config is a one-run config with fixed options and client instances.
+func config(opts core.Options, clients ...core.Client) oracle.Config {
+	return oracle.Config{Name: "bench", Opts: func() core.Options { return opts },
+		Clients: func() []core.Client { return clients }}
+}
 
 // BenchmarkTable1 regenerates the paper's Table 1: the feature ladder
 // (emulation → +bb cache → +direct links → +indirect links → +traces) on
@@ -31,7 +65,7 @@ func BenchmarkTable1(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", name, systems[i]), func(b *testing.B) {
 				var norm float64
 				for n := 0; n < b.N; n++ {
-					norm = harness.RunConfig(bench, opts).Normalized
+					norm = cell(b, bench, config(opts)).Normalized()
 				}
 				b.ReportMetric(norm, "normalized-time")
 			})
@@ -64,9 +98,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	benches := workload.All()
 	if testing.Short() {
-		benches = []*workload.Benchmark{
-			workload.ByName("mgrid"), workload.ByName("crafty"), workload.ByName("gcc"),
-		}
+		benches = guardBenches(b)
 	}
 	for _, w := range benches {
 		for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
@@ -76,7 +108,7 @@ func BenchmarkFigure5(b *testing.B) {
 				for n := 0; n < b.N; n++ {
 					// The paper-era base system (see harness.Figure5Options):
 					// Figure 5 measures the client optimizations against it.
-					norm = harness.RunConfig(w, harness.Figure5Options(), harness.ClientsFor(c)...).Normalized
+					norm = cell(b, w, harness.Figure5Config(c)).Normalized()
 				}
 				b.ReportMetric(norm, "normalized-time")
 			})
@@ -95,7 +127,7 @@ func BenchmarkAblationTraceThreshold(b *testing.B) {
 			opts.TraceThreshold = th
 			var norm float64
 			for n := 0; n < b.N; n++ {
-				norm = harness.RunConfig(w, opts).Normalized
+				norm = cell(b, w, config(opts)).Normalized()
 			}
 			b.ReportMetric(norm, "normalized-time")
 		})
@@ -114,12 +146,12 @@ func BenchmarkAblationIBLTable(b *testing.B) {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			opts := harness.Figure5Options()
 			opts.IBLTableBits = bits
-			var res *harness.ConfigResult
+			var res oracle.Outcome
 			for n := 0; n < b.N; n++ {
-				res = harness.RunConfig(w, opts)
+				res = cell(b, w, config(opts))
 			}
-			b.ReportMetric(res.Normalized, "normalized-time")
-			b.ReportMetric(float64(res.RIOStats.IBLMisses), "ibl-misses")
+			b.ReportMetric(res.Normalized(), "normalized-time")
+			b.ReportMetric(float64(res.Stats.IBLMisses), "ibl-misses")
 		})
 	}
 }
@@ -215,7 +247,7 @@ func BenchmarkAblationDispatchChain(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				cl := ibdispatch.New()
 				cl.MaxTargets = maxTargets
-				norm = harness.RunConfig(w, core.Default(), cl).Normalized
+				norm = cell(b, w, config(core.Default(), cl)).Normalized()
 			}
 			b.ReportMetric(norm, "normalized-time")
 		})

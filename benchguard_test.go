@@ -18,12 +18,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/harness"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
-// guardFigure5Benches is BenchmarkFigure5's -short subset: one workload per
-// class regime (FP, indirect-heavy INT, large-footprint INT).
-var guardFigure5Benches = []string{"mgrid", "crafty", "gcc"}
+// guardBenches is BenchmarkFigure5's -short subset: one workload per class
+// regime (FP, indirect-heavy INT, large-footprint INT).
+func guardBenches(tb testing.TB) []*workload.Benchmark {
+	benches, err := workload.Select("mgrid", "crafty", "gcc")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return benches
+}
 
 // TestFigure5RegressionGuard fails when any Figure 5 configuration's
 // geomean normalized overhead over the guard subset exceeds the checked-in
@@ -32,17 +39,18 @@ var guardFigure5Benches = []string{"mgrid", "crafty", "gcc"}
 // only keeps deliberate small trade-offs from needing a baseline dance.
 func TestFigure5RegressionGuard(t *testing.T) {
 	guard.Gate(t)
-	rows, err := harness.Figure5Parallel(0, guardFigure5Benches...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := map[string]float64{}
+	var configs []oracle.Config
 	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
+		configs = append(configs, harness.Figure5Config(c))
+	}
+	outs := verified(t, guardBenches(t), configs...)
+	measured := map[string]float64{}
+	for c, cfg := range configs {
 		var xs []float64
-		for _, r := range rows {
-			xs = append(xs, r.Normalized[c])
+		for i := c; i < len(outs); i += len(configs) {
+			xs = append(xs, outs[i].Normalized())
 		}
-		measured[c.String()] = harness.GeoMean(xs)
+		measured[cfg.Name] = harness.GeoMean(xs)
 	}
 
 	base := guard.Load(t, "BENCH_baseline.json")
@@ -75,14 +83,7 @@ func TestFigure5RegressionGuard(t *testing.T) {
 // charging ticks.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	guard.Gate(t)
-	var benches []*workload.Benchmark
-	for _, name := range guardFigure5Benches {
-		b := workload.ByName(name)
-		if b == nil {
-			t.Fatalf("%s not in suite", name)
-		}
-		benches = append(benches, b)
-	}
+	benches := guardBenches(t)
 	rows, err := harness.Telemetry(0, benches, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +91,11 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 	// TelemetryRow.Normalized is instrumented-vs-native; the plain default
 	// configuration's own ratio is the baseline to beat.
 	var on, off []float64
-	for i, r := range rows {
+	for _, r := range rows {
 		on = append(on, r.Normalized)
-		off = append(off, harness.RunConfig(benches[i], core.Default()).Normalized)
+	}
+	for _, o := range verified(t, benches, oracle.Config{Name: "default", Opts: core.Default}) {
+		off = append(off, o.Normalized())
 	}
 	ratio := harness.GeoMean(on) / harness.GeoMean(off)
 	if ratio > 1.05 {

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -56,6 +59,18 @@ type outcomeJSON struct {
 	Stats map[string]uint64 `json:"stats"`
 }
 
+// nonzeroStats maps each nonzero runtime counter's field name to its value.
+func nonzeroStats(s core.Stats) map[string]uint64 {
+	stats := map[string]uint64{}
+	v := reflect.ValueOf(s)
+	for i := range v.NumField() {
+		if n := v.Field(i).Uint(); n != 0 {
+			stats[v.Type().Field(i).Name] = n
+		}
+	}
+	return stats
+}
+
 func diffJSON(s *harness.Suite, outs []oracle.Outcome, checkErr error, workers int, elapsed time.Duration) diffFile {
 	out := diffFile{
 		header:        newHeader("drbench/diff/v1", workers, elapsed),
@@ -74,14 +89,7 @@ func diffJSON(s *harness.Suite, outs []oracle.Outcome, checkErr error, workers i
 		if o.Failure() != "" {
 			out.Failed++
 		}
-		stats := map[string]uint64{}
-		v := reflect.ValueOf(o.Stats)
-		for i := range v.NumField() {
-			if n := v.Field(i).Uint(); n != 0 {
-				stats[v.Type().Field(i).Name] = n
-			}
-		}
-		out.Outcomes = append(out.Outcomes, outcomeJSON{o, stats})
+		out.Outcomes = append(out.Outcomes, outcomeJSON{o, nonzeroStats(o.Stats)})
 	}
 	if checkErr != nil {
 		out.Check = checkErr.Error()
@@ -89,22 +97,45 @@ func diffJSON(s *harness.Suite, outs []oracle.Outcome, checkErr error, workers i
 	return out
 }
 
-// figure5File is the file layout of -figure5 -json: the Figure 5 series plus
-// enough run metadata (worker count, wall clock, simulated cycle totals) to
-// track harness performance across revisions.
-type figure5File struct {
+// tableFile is the file layout of every published table (-table1, -figure5,
+// -cachesweep, -iblsweep, -profile): the suite the table reads, its columns
+// (points), one row per benchmark with the normalized time and simulated
+// cycles of each column plus the cell behind them, and the geometric-mean
+// lines. Every cell has passed the full oracle.
+type tableFile struct {
 	header
-	TotalSimulatedCycle uint64    `json:"total_simulated_cycles"`
-	Configs             []string  `json:"configs"`
-	Rows                []rowJSON `json:"rows"`
-	Means               meansJSON `json:"means"`
+	Experiment           string      `json:"experiment"`
+	Suite                string      `json:"suite"`
+	TotalSimulatedCycles uint64      `json:"total_simulated_cycles"`
+	Points               []pointJSON `json:"points"`
+	Rows                 []rowJSON   `json:"rows"`
+	Means                meansJSON   `json:"means"`
+}
+
+type pointJSON struct {
+	Name string `json:"name"`
 }
 
 type rowJSON struct {
-	Benchmark  string    `json:"benchmark"`
-	Class      string    `json:"class"`
-	Normalized []float64 `json:"normalized"`
-	Cycles     []uint64  `json:"cycles"`
+	Benchmark  string     `json:"benchmark"`
+	Class      string     `json:"class"`
+	Normalized []float64  `json:"normalized"`
+	Cycles     []uint64   `json:"cycles"`
+	Cells      []cellJSON `json:"cells"`
+}
+
+// cellJSON is one run: its ticks, nonzero runtime counters and, for a
+// profiled run, the phase breakdown (summing exactly to ticks), the number
+// of profiled fragments, the hottest ones and the drained event counts.
+type cellJSON struct {
+	Ticks         uint64                `json:"ticks"`
+	NativeTicks   uint64                `json:"native_ticks"`
+	Stats         map[string]uint64     `json:"stats"`
+	PhaseTicks    map[string]uint64     `json:"phase_ticks,omitempty"`
+	Fragments     int                   `json:"fragments,omitempty"`
+	Top           []obs.FragmentProfile `json:"top,omitempty"`
+	Events        int                   `json:"events,omitempty"`
+	EventsDropped uint64                `json:"events_dropped,omitempty"`
 }
 
 type meansJSON struct {
@@ -113,197 +144,37 @@ type meansJSON struct {
 	All []float64 `json:"all"`
 }
 
-func figure5JSON(rows []harness.Figure5Row, workers int, elapsed time.Duration) figure5File {
-	out := figure5File{
-		header: newHeader("drbench/figure5/v1", workers, elapsed),
+func tableJSON(name string, r *suiteRun, g harness.Grid, topN, workers int) tableFile {
+	out := tableFile{
+		header:     newHeader("drbench/table/v1", workers, r.elapsed),
+		Experiment: name,
+		Suite:      r.suite.Name,
 	}
-	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-		out.Configs = append(out.Configs, c.String())
+	out.Means.FP, out.Means.Int, out.Means.All = g.ClassMeans()
+	for _, cfg := range g.Configs {
+		out.Points = append(out.Points, pointJSON{cfg})
 	}
-	for _, r := range rows {
-		row := rowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-			row.Normalized = append(row.Normalized, r.Normalized[c])
-			cycles := r.Ticks[c].Cycles()
-			row.Cycles = append(row.Cycles, cycles)
-			out.TotalSimulatedCycle += cycles
+	for _, gr := range g.Rows {
+		row := rowJSON{Benchmark: gr.Case, Class: gr.Class.String()}
+		for _, o := range gr.Cells {
+			row.Normalized = append(row.Normalized, o.Normalized())
+			row.Cycles = append(row.Cycles, o.Ticks.Cycles())
+			out.TotalSimulatedCycles += o.Ticks.Cycles()
+			c := cellJSON{
+				Ticks:         uint64(o.Ticks),
+				NativeTicks:   uint64(o.NativeTicks),
+				Stats:         nonzeroStats(o.Stats),
+				Fragments:     len(o.Profiles),
+				Events:        len(o.Events),
+				EventsDropped: o.EventsDropped,
+			}
+			if o.Phases != nil {
+				c.PhaseTicks = o.Phases.Map()
+				c.Top = obs.TopN(o.Profiles, topN)
+			}
+			row.Cells = append(row.Cells, c)
 		}
 		out.Rows = append(out.Rows, row)
-	}
-	m := harness.Means(rows)
-	for c := harness.ConfigBase; c < harness.NumOptConfigs; c++ {
-		out.Means.FP = append(out.Means.FP, m.FP[c])
-		out.Means.Int = append(out.Means.Int, m.Int[c])
-		out.Means.All = append(out.Means.All, m.All[c])
-	}
-	return out
-}
-
-// cacheSweepFile is the file layout of -cachesweep -json: per (benchmark, budget)
-// normalized time plus the cache-management counters that explain it.
-type cacheSweepFile struct {
-	header
-	Points []pointJSON    `json:"points"`
-	Rows   []sweepRowJSON `json:"rows"`
-	Means  []float64      `json:"means"`
-}
-
-type pointJSON struct {
-	Name     string `json:"name"`
-	Bytes    int    `json:"bytes"`
-	Adaptive bool   `json:"adaptive"`
-}
-
-type sweepRowJSON struct {
-	Benchmark     string    `json:"benchmark"`
-	Class         string    `json:"class"`
-	Normalized    []float64 `json:"normalized"`
-	Cycles        []uint64  `json:"cycles"`
-	Evictions     []uint64  `json:"evictions"`
-	Regenerations []uint64  `json:"regenerations"`
-	CacheResizes  []uint64  `json:"cache_resizes"`
-	BBLiveBytes   []uint64  `json:"bb_live_bytes"`
-	TrLiveBytes   []uint64  `json:"trace_live_bytes"`
-}
-
-func cacheSweepJSON(points []harness.CachePoint, rows []harness.CacheSweepRow, workers int, elapsed time.Duration) cacheSweepFile {
-	out := cacheSweepFile{
-		header: newHeader("drbench/cachesweep/v1", workers, elapsed),
-		Means:  harness.CacheSweepMeans(points, rows),
-	}
-	for _, p := range points {
-		out.Points = append(out.Points, pointJSON{Name: p.Name, Bytes: p.Bytes, Adaptive: p.Adaptive})
-	}
-	for _, r := range rows {
-		row := sweepRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for _, c := range r.Cells {
-			row.Normalized = append(row.Normalized, c.Normalized)
-			row.Cycles = append(row.Cycles, c.Ticks.Cycles())
-			row.Evictions = append(row.Evictions, c.Stats.Evictions)
-			row.Regenerations = append(row.Regenerations, c.Stats.Regenerations)
-			row.CacheResizes = append(row.CacheResizes, c.Stats.CacheResizes)
-			row.BBLiveBytes = append(row.BBLiveBytes, c.Stats.BBCacheLiveBytes)
-			row.TrLiveBytes = append(row.TrLiveBytes, c.Stats.TraceCacheLiveBytes)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-// iblSweepFile is the file layout of -iblsweep -json: per (benchmark, IBL
-// configuration) the Figure-5-style normalized overhead plus the dispatcher
-// context switches an IBL hit avoids and the hashtable behaviour counters
-// (misses, probe chains, growth, displacement, elisions) that explain it.
-type iblSweepFile struct {
-	header
-	Points []iblPointJSON    `json:"points"`
-	Rows   []iblSweepRowJSON `json:"rows"`
-	Means  []float64         `json:"means"`
-}
-
-type iblPointJSON struct {
-	Name         string `json:"name"`
-	Bits         uint   `json:"bits"`
-	DirectMapped bool   `json:"direct_mapped"`
-	Adaptive     bool   `json:"adaptive"`
-	FlagsElision bool   `json:"flags_elision"`
-}
-
-type iblSweepRowJSON struct {
-	Benchmark          string    `json:"benchmark"`
-	Class              string    `json:"class"`
-	Normalized         []float64 `json:"normalized"`
-	Cycles             []uint64  `json:"cycles"`
-	ContextSwitches    []uint64  `json:"context_switches"`
-	IBLMisses          []uint64  `json:"ibl_misses"`
-	IBLCollisions      []uint64  `json:"ibl_collisions"`
-	IBLMaxProbe        []uint64  `json:"ibl_max_probe"`
-	IBLResizes         []uint64  `json:"ibl_resizes"`
-	IBLReplaced        []uint64  `json:"ibl_replaced"`
-	FlagsElisions      []uint64  `json:"flags_elisions"`
-	InlineChecksElided []uint64  `json:"inline_checks_elided"`
-}
-
-func iblSweepJSON(points []harness.IBLPoint, rows []harness.IBLSweepRow, workers int, elapsed time.Duration) iblSweepFile {
-	out := iblSweepFile{
-		header: newHeader("drbench/iblsweep/v1", workers, elapsed),
-		Means:  harness.IBLSweepMeans(points, rows),
-	}
-	for _, p := range points {
-		out.Points = append(out.Points, iblPointJSON{
-			Name: p.Name, Bits: p.Bits, DirectMapped: p.DirectMapped,
-			Adaptive: p.Adaptive, FlagsElision: p.FlagsElision,
-		})
-	}
-	for _, r := range rows {
-		row := iblSweepRowJSON{Benchmark: r.Benchmark, Class: r.Class.String()}
-		for _, c := range r.Cells {
-			row.Normalized = append(row.Normalized, c.Normalized)
-			row.Cycles = append(row.Cycles, c.Ticks.Cycles())
-			row.ContextSwitches = append(row.ContextSwitches, c.Stats.ContextSwitches)
-			row.IBLMisses = append(row.IBLMisses, c.Stats.IBLMisses)
-			row.IBLCollisions = append(row.IBLCollisions, c.Stats.IBLCollisions)
-			row.IBLMaxProbe = append(row.IBLMaxProbe, c.Stats.IBLMaxProbe)
-			row.IBLResizes = append(row.IBLResizes, c.Stats.IBLResizes)
-			row.IBLReplaced = append(row.IBLReplaced, c.Stats.IBLReplaced)
-			row.FlagsElisions = append(row.FlagsElisions, c.Stats.FlagsElisions)
-			row.InlineChecksElided = append(row.InlineChecksElided, c.Stats.InlineChecksElided)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-// profileFile is the file layout of -profile -json: per benchmark the
-// per-phase tick breakdown (phase_ticks sums exactly to ticks — the
-// conservation invariant CI asserts), the hottest fragments, and the cache
-// counters behind them.
-type profileFile struct {
-	header
-	Phases []string         `json:"phases"`
-	Rows   []profileRowJSON `json:"rows"`
-}
-
-type profileRowJSON struct {
-	Benchmark  string            `json:"benchmark"`
-	Class      string            `json:"class"`
-	Ticks      uint64            `json:"ticks"`
-	Normalized float64           `json:"normalized"`
-	PhaseTicks map[string]uint64 `json:"phase_ticks"`
-
-	Fragments int                   `json:"fragments"`
-	Top       []obs.FragmentProfile `json:"top"`
-
-	BlocksBuilt uint64 `json:"blocks_built"`
-	TracesBuilt uint64 `json:"traces_built"`
-	Evictions   uint64 `json:"evictions"`
-	IBLMisses   uint64 `json:"ibl_misses"`
-
-	Events        int    `json:"events,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-}
-
-func profileJSON(rows []harness.ProfileRow, workers int, elapsed time.Duration) profileFile {
-	out := profileFile{
-		header: newHeader("drbench/profile/v1", workers, elapsed),
-		Phases: obs.PhaseNames(),
-	}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, profileRowJSON{
-			Benchmark:     r.Benchmark,
-			Class:         r.Class.String(),
-			Ticks:         uint64(r.Ticks),
-			Normalized:    r.Normalized,
-			PhaseTicks:    r.Phases.Map(),
-			Fragments:     r.Fragments,
-			Top:           r.Top,
-			BlocksBuilt:   r.Stats.BlocksBuilt,
-			TracesBuilt:   r.Stats.TracesBuilt,
-			Evictions:     r.Stats.Evictions,
-			IBLMisses:     r.Stats.IBLMisses,
-			Events:        len(r.Events),
-			EventsDropped: r.EventsDropped,
-		})
 	}
 	return out
 }
@@ -361,16 +232,24 @@ func telemetryJSON(rows []harness.TelemetryRow, workers int, elapsed time.Durati
 
 // writeTraceJSONL writes every benchmark's drained event trace as JSON
 // lines, each labeled with its benchmark name.
-func writeTraceJSONL(path string, rows []harness.ProfileRow) error {
+func writeTraceJSONL(w io.Writer, path string, g harness.Grid) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		if err := obs.WriteJSONL(f, r.Benchmark, r.Events); err != nil {
+	n, dropped := 0, uint64(0)
+	for _, r := range g.Rows {
+		o := r.Cells[0]
+		if err := obs.WriteJSONL(f, r.Case, o.Events); err != nil {
 			f.Close()
 			return err
 		}
+		n += len(o.Events)
+		dropped += o.EventsDropped
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s (%d events, %d dropped by the rings)\n", path, n, dropped)
+	return nil
 }

@@ -7,8 +7,6 @@
 //	drbench -figure5 -bench mgrid,crafty
 //	drbench -figure5 -parallel 0 # fan the benchmark x config matrix across all CPUs
 //	drbench -figure5 -json BENCH_figure5.json
-//	drbench -figure5 -cache-bb 65536 -cache-trace 65536   # bounded caches
-//	drbench -figure5 -ibl-adaptive -ibl-bits 6            # run Figure 5 on the adaptive open-address IBL
 //	drbench -cachesweep          # cache budget ladder: 22 benchmarks x 6 budgets
 //	drbench -cachesweep -json BENCH_cachesweep.json
 //	drbench -iblsweep            # indirect-branch lookup ladder: 22 benchmarks x 6 IBL configs
@@ -19,7 +17,7 @@
 //	drbench -telemetry           # all telemetry on: histograms + watchdog, bit-identity checked
 //	drbench -telemetry -json BENCH_telemetry.json
 //	drbench -telemetry -trace-events trace.json   # Chrome trace-event spans; load at ui.perfetto.dev
-//	drbench -diff verify         # transparency matrix: 22 benchmarks x 11 configs, full oracle
+//	drbench -diff verify         # transparency matrix: 22 benchmarks x 12 configs, full oracle
 //	drbench -diff eviction,ibl   # cache-eviction and IBL differentials
 //	drbench -diff faultstorm -seeds 101,202,303 -json BENCH_faultstorm.json
 //	drbench -diff chaosstorm -json BENCH_chaosstorm.json
@@ -28,9 +26,18 @@
 //	drbench -diff fuzzchaos -fuzz-seeds 60    # generated programs under chaos + machine faults
 //	drbench -all                 # everything
 //
-// Every -diff suite runs on one differential engine (internal/oracle.Diff):
-// cases x perturbations x configs, each runtime run compared with native.
-// With several experiments and -json, each writes <path>.<experiment>.json.
+// There is one run path. Every simulated number comes from a differential
+// suite on one engine (internal/oracle.Diff): cases x perturbations x
+// configs, each runtime run compared with native on the full oracle state.
+// The published tables are views over suite outcomes: Table 1 and Figure 5
+// over verify, the cache sweep over cachesweep, the IBL sweep over ibl and
+// the profile over profile. Each suite runs at most once per invocation, so
+// -table1 -figure5 -diff verify share one verify run, and a table fails
+// whenever its suite's check does. Tables write the drbench/table/v1 JSON
+// layout and -diff suites drbench/diff/v1; with several experiments and
+// -json, each writes <path>.<experiment>.json, where a -diff report whose
+// suite shares a selected table's name (cachesweep, profile) is the
+// experiment <suite>-diff.
 //
 // See EXPERIMENTS.md for the paper-versus-measured discussion.
 package main
@@ -53,10 +60,27 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// experiment is one JSON-producing run selected on the command line.
+// experiment is one run selected on the command line.
 type experiment struct {
 	name string
 	run  func(jsonPath string) error
+}
+
+// view is a published table over one differential suite's outcomes.
+type view struct {
+	name, suite string
+	benches     []*workload.Benchmark // its rows
+	configs     []string              // its columns; nil means all of the suite's
+	format      func(harness.Grid) string
+}
+
+// suiteRun is one suite's outcomes, shared by the -diff report and every view
+// over the suite.
+type suiteRun struct {
+	suite            *harness.Suite
+	outs             []oracle.Outcome
+	runErr, checkErr error
+	elapsed          time.Duration
 }
 
 // run is drbench with its arguments and output streams; it returns the exit
@@ -65,30 +89,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("drbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table1     = fs.Bool("table1", false, "reproduce Table 1")
+		table1     = fs.Bool("table1", false, "reproduce Table 1: the verify suite's feature-ladder columns on crafty and vpr")
 		table2     = fs.Bool("table2", false, "reproduce Table 2")
-		figure5    = fs.Bool("figure5", false, "reproduce Figure 5")
-		cachesweep = fs.Bool("cachesweep", false, "run the cache-budget sweep (benchmarks x budget ladder)")
-		iblsweep   = fs.Bool("iblsweep", false, "run the indirect-branch lookup sweep (benchmarks x IBL configuration ladder)")
+		figure5    = fs.Bool("figure5", false, "reproduce Figure 5: the verify suite's six client columns")
+		cachesweep = fs.Bool("cachesweep", false, "run the cache-budget sweep (the cachesweep suite: benchmarks x budget ladder)")
+		iblsweep   = fs.Bool("iblsweep", false, "run the indirect-branch lookup sweep (the ibl suite: benchmarks x IBL configuration ladder)")
+		profile    = fs.Bool("profile", false, "run the where-the-cycles-go experiment (the profile suite): per-phase tick accounting + per-fragment profiles")
 		diffFlag   = fs.String("diff", "", "comma-separated differential suites to run ("+strings.Join(harness.SuiteNames(), ", ")+")")
 		seedsFlag  = fs.String("seeds", "101,202,303", "comma-separated fault and chaos schedule seeds for the faultstorm, chaosstorm and fuzzchaos suites")
 		all        = fs.Bool("all", false, "reproduce everything")
 		bench      = fs.String("bench", "", "comma-separated benchmark subset")
 		parallel   = fs.Int("parallel", 1, "worker goroutines for the matrices; 0 means one per CPU")
 		jsonPath   = fs.String("json", "", "also write the results as JSON to this path (<path>.<experiment>.json when several experiments run)")
-		cacheBB    = fs.Int("cache-bb", 0, "per-thread basic-block cache budget in bytes for -figure5 (0 = unbounded)")
-		cacheTrace = fs.Int("cache-trace", 0, "per-thread trace cache budget in bytes for -figure5 (0 = unbounded)")
-		adaptive   = fs.Bool("adaptive", false, "enable adaptive cache resizing for -figure5 (needs a bounded cache)")
-		iblBits    = fs.Uint("ibl-bits", 0, "initial IBL hashtable size as log2 entries for -figure5 (0 = runtime default)")
-		iblAdapt   = fs.Bool("ibl-adaptive", false, "run -figure5 on the adaptive open-address IBL hashtable instead of the paper's fixed direct-mapped table")
-		noElide    = fs.Bool("no-flags-elision", false, "disable eflags-liveness flag-save elision for -figure5 (meaningful with -ibl-adaptive)")
 		fuzzSeeds  = fs.Int("fuzz-seeds", 200, "number of generator seeds for the fuzz suites")
 		fuzzBase   = fs.Int64("fuzz-seed-base", 1, "first generator seed for the fuzz suites")
 		fuzzOps    = fs.Int("fuzz-ops", 40, "statement budget per generated program for the fuzz suites")
 		fuzzCorpus = fs.String("fuzz-corpus", "", "directory to write shrunk repro entries to when -diff fuzz finds a mismatch")
-		profile    = fs.Bool("profile", false, "run the where-the-cycles-go experiment: per-phase tick accounting + per-fragment profiles")
 		topN       = fs.Int("top", 10, "hottest fragments kept per benchmark for -profile")
-		ring       = fs.Int("ring", 0, "per-thread event-trace ring size for -profile (0 = tracing off)")
+		ring       = fs.Int("ring", 0, "per-thread event-trace ring size for the profile suite (0 = tracing off)")
 		traceOut   = fs.String("trace-out", "", "write the drained -profile event trace as JSONL to this path (implies -ring 4096 unless set)")
 		telemetry  = fs.Bool("telemetry", false, "run the live-telemetry experiment: histograms + watchdog with all instrumentation on, checked bit-identical to native")
 		traceEvs   = fs.String("trace-events", "", "write the -telemetry span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
@@ -107,8 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *all {
 		suites = harness.SuiteNames()
+		*table1, *table2, *figure5, *cachesweep, *iblsweep, *profile, *telemetry = true, true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*figure5 && !*cachesweep && !*iblsweep && len(suites) == 0 && !*profile && !*telemetry {
+	if !*table1 && !*table2 && !*figure5 && !*cachesweep && !*iblsweep && !*profile && !*telemetry && len(suites) == 0 {
 		fs.Usage()
 		return 2
 	}
@@ -116,7 +135,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *bench != "" {
 		names = strings.Split(*bench, ",")
 	}
-	benches, err := benchList(names)
+	benches, err := workload.Select(names...)
+	if err != nil {
+		return fail(err)
+	}
+	tableOneBenches, err := workload.Select("crafty", "vpr")
 	if err != nil {
 		return fail(err)
 	}
@@ -127,12 +150,57 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fuzzSeeds <= 0 {
 		return fail(errors.New("-fuzz-seeds must be positive"))
 	}
-
-	if *table1 || *all {
-		fmt.Fprintln(stdout, harness.FormatTable1(harness.Table1()))
+	if *traceOut != "" && *ring == 0 {
+		*ring = 4096
 	}
-	if *table2 || *all {
-		fmt.Fprintln(stdout, harness.FormatTable2(harness.Table2()))
+
+	var views []view
+	for _, v := range []struct {
+		on bool
+		view
+	}{
+		{*table1, view{"table1", "verify", tableOneBenches, harness.TableOneConfigs(), harness.FormatTable1}},
+		{*figure5, view{"figure5", "verify", benches, harness.Figure5Configs(), harness.FormatFigure5}},
+		{*cachesweep, view{"cachesweep", "cachesweep", benches, nil, harness.FormatCacheSweep}},
+		{*iblsweep, view{"iblsweep", "ibl", benches, nil, harness.FormatIBLSweep}},
+		{*profile, view{"profile", "profile", benches, nil, func(g harness.Grid) string { return harness.FormatProfile(g, *topN) }}},
+	} {
+		if v.on {
+			views = append(views, v.view)
+		}
+	}
+
+	// Each suite runs once, over every benchmark its -diff report and its
+	// views need, and they all read the same outcomes.
+	suiteBenches := map[string][]*workload.Benchmark{}
+	for _, name := range suites {
+		suiteBenches[name] = benches
+	}
+	for _, v := range views {
+		suiteBenches[v.suite] = union(suiteBenches[v.suite], v.benches)
+	}
+	params := harness.SuiteParams{
+		Seeds:     seeds,
+		FuzzSeeds: harness.SeedRange(*fuzzBase, *fuzzSeeds),
+		FuzzOps:   *fuzzOps,
+		EventRing: *ring,
+	}
+	runs := map[string]*suiteRun{}
+	runSuite := func(name string) (*suiteRun, error) {
+		if r, ok := runs[name]; ok {
+			return r, nil
+		}
+		p := params
+		p.Benches = suiteBenches[name]
+		s, err := harness.NewSuite(name, p)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		outs, runErr := s.Run(*parallel)
+		r := &suiteRun{suite: s, outs: outs, runErr: requireResults(runErr, len(outs)), checkErr: s.Check(outs), elapsed: time.Since(start)}
+		runs[name] = r
+		return r, nil
 	}
 
 	// save writes an experiment's JSON artifact when -json asked for one.
@@ -148,95 +216,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var exps []experiment
-	if *figure5 || *all {
-		exps = append(exps, experiment{"figure5", func(path string) error {
-			// Figure 5 measures the paper's base system (fixed direct-mapped
-			// IBL, no flag-save elision); the -ibl-* flags rerun it on the
-			// new indirect-branch fast path.
-			opts := harness.Figure5Options()
-			opts.BBCacheSize, opts.TraceCacheSize, opts.AdaptiveCache = *cacheBB, *cacheTrace, *adaptive
-			if *iblBits != 0 {
-				opts.IBLTableBits = *iblBits
-			}
-			if *iblAdapt {
-				opts.IBLDirectMapped, opts.IBLAdaptive, opts.FlagsElision = false, true, !*noElide
-			}
-			start := time.Now()
-			rows, err := harness.RunMatrix(*parallel, benches, opts)
-			elapsed := time.Since(start)
-			if err = requireResults(err, len(rows)); err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, harness.FormatFigure5(rows))
-			return save(path, len(rows), elapsed, figure5JSON(rows, *parallel, elapsed))
-		}})
-	}
-	if *cachesweep || *all {
-		exps = append(exps, experiment{"cachesweep", func(path string) error {
-			points := harness.DefaultSweep()
-			start := time.Now()
-			rows, err := harness.CacheSweep(*parallel, benches, points)
-			elapsed := time.Since(start)
-			if err = requireResults(err, len(rows)); err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, harness.FormatCacheSweep(points, rows))
-			return save(path, len(rows), elapsed, cacheSweepJSON(points, rows, *parallel, elapsed))
-		}})
-	}
-	if *iblsweep || *all {
-		exps = append(exps, experiment{"iblsweep", func(path string) error {
-			points := harness.DefaultIBLSweep()
-			start := time.Now()
-			rows, err := harness.IBLSweep(*parallel, benches, points)
-			elapsed := time.Since(start)
-			if err = requireResults(err, len(rows)); err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, harness.FormatIBLSweep(points, rows))
-			return save(path, len(rows), elapsed, iblSweepJSON(points, rows, *parallel, elapsed))
-		}})
-	}
-	params := harness.SuiteParams{
-		Benches:   benches,
-		Seeds:     seeds,
-		FuzzSeeds: harness.SeedRange(*fuzzBase, *fuzzSeeds),
-		FuzzOps:   *fuzzOps,
-	}
-	for _, name := range suites {
-		exps = append(exps, experiment{name, func(path string) error {
-			return runDiff(stdout, name, params, *parallel, path, *fuzzCorpus)
-		}})
-	}
-	if *profile || *all {
-		exps = append(exps, experiment{"profile", func(path string) error {
-			ringSize := *ring
-			if *traceOut != "" && ringSize == 0 {
-				ringSize = 4096
-			}
-			start := time.Now()
-			rows, err := harness.Profile(*parallel, *topN, ringSize, benches)
-			elapsed := time.Since(start)
-			if err = requireResults(err, len(rows)); err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, harness.FormatProfile(rows))
-			if err := save(path, len(rows), elapsed, profileJSON(rows, *parallel, elapsed)); err != nil || *traceOut == "" {
-				return err
-			}
-			if err := writeTraceJSONL(*traceOut, rows); err != nil {
-				return err
-			}
-			n, dropped := 0, uint64(0)
-			for _, r := range rows {
-				n += len(r.Events)
-				dropped += r.EventsDropped
-			}
-			fmt.Fprintf(stdout, "wrote %s (%d events, %d dropped by the rings)\n", *traceOut, n, dropped)
+	if *table2 {
+		exps = append(exps, experiment{"table2", func(string) error {
+			fmt.Fprintln(stdout, harness.FormatTable2(harness.Table2()))
 			return nil
 		}})
 	}
-	if *telemetry || *all {
+	for _, v := range views {
+		exps = append(exps, experiment{v.name, func(path string) error {
+			r, err := runSuite(v.suite)
+			if err != nil {
+				return err
+			}
+			if err := errors.Join(r.runErr, r.checkErr); err != nil {
+				return err
+			}
+			g, err := r.suite.Grid(r.outs, benchNames(v.benches), v.configs)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, v.format(g))
+			if err := save(path, len(g.Rows), r.elapsed, tableJSON(v.name, r, g, *topN, *parallel)); err != nil {
+				return err
+			}
+			if v.name == "profile" && *traceOut != "" {
+				return writeTraceJSONL(stdout, *traceOut, g)
+			}
+			return nil
+		}})
+	}
+	for _, name := range suites {
+		// The cachesweep and profile tables share their suite's name; with
+		// both selected, the -diff report is "<suite>-diff".
+		ename := name
+		if slices.ContainsFunc(views, func(v view) bool { return v.name == name }) {
+			ename = name + "-diff"
+		}
+		exps = append(exps, experiment{ename, func(path string) error {
+			r, err := runSuite(name)
+			if err != nil {
+				return err
+			}
+			return reportDiff(stdout, r, *parallel, path, *fuzzCorpus, params)
+		}})
+	}
+	if *telemetry {
 		exps = append(exps, experiment{"telemetry", func(path string) error {
 			var traceW io.Writer
 			if *traceEvs != "" {
@@ -299,34 +323,26 @@ func resolveSuites(spec string) ([]string, error) {
 	return suites, nil
 }
 
-// runDiff runs one differential suite, prints its matrix, writes its JSON
-// and, for the fuzz suite with a corpus directory, shrinks every failing
-// program into a repro entry. Any failing run or coverage gap is an error.
-func runDiff(w io.Writer, name string, p harness.SuiteParams, workers int, path, corpus string) error {
-	s, err := harness.NewSuite(name, p)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	outs, runErr := s.Run(workers)
-	elapsed := time.Since(start)
-	fmt.Fprint(w, harness.FormatDiff(s, outs))
-	checkErr := s.Check(outs)
-	if name == "fuzz" && corpus != "" {
-		if err := shrinkFailures(w, s, outs, p, corpus); err != nil {
+// reportDiff prints a suite's matrix, writes its JSON and, for the fuzz
+// suite with a corpus directory, shrinks every failing program into a repro
+// entry. Any failing run or coverage gap is an error.
+func reportDiff(w io.Writer, r *suiteRun, workers int, path, corpus string, p harness.SuiteParams) error {
+	fmt.Fprint(w, harness.FormatDiff(r.suite, r.outs))
+	if r.suite.Name == "fuzz" && corpus != "" {
+		if err := shrinkFailures(w, r.suite, r.outs, p, corpus); err != nil {
 			return err
 		}
 	}
 	if path != "" {
-		if err := writeJSON(path, diffJSON(s, outs, checkErr, workers, elapsed)); err != nil {
+		if err := writeJSON(path, diffJSON(r.suite, r.outs, r.checkErr, workers, r.elapsed)); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "wrote %s (%d runs, %.2fs wall clock)\n", path, len(outs), elapsed.Seconds())
+		fmt.Fprintf(w, "wrote %s (%d runs, %.2fs wall clock)\n", path, len(r.outs), r.elapsed.Seconds())
 	}
-	if runErr != nil {
-		return runErr
+	if r.runErr != nil {
+		return r.runErr
 	}
-	return checkErr
+	return r.checkErr
 }
 
 // shrinkFailures shrinks each failing fuzz program against the suite's
@@ -383,17 +399,21 @@ func parseSeeds(s string) ([]int64, error) {
 	return seeds, nil
 }
 
-func benchList(names []string) ([]*workload.Benchmark, error) {
-	if len(names) == 0 {
-		return workload.All(), nil
+func benchNames(benches []*workload.Benchmark) []string {
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name
 	}
-	benches := make([]*workload.Benchmark, 0, len(names))
-	for _, n := range names {
-		b := workload.ByName(n)
-		if b == nil {
-			return nil, fmt.Errorf("unknown benchmark %s", n)
+	return names
+}
+
+// union returns a followed by the benchmarks of b not in a.
+func union(a, b []*workload.Benchmark) []*workload.Benchmark {
+	out := slices.Clone(a)
+	for _, w := range b {
+		if !slices.Contains(out, w) {
+			out = append(out, w)
 		}
-		benches = append(benches, b)
 	}
-	return benches, nil
+	return out
 }

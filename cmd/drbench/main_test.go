@@ -97,3 +97,100 @@ func TestDiffSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownBenchmark: a -bench name that is not in the suite is rejected
+// before anything runs.
+func TestUnknownBenchmark(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-figure5", "-bench", "crafty,nosuch"}, &bytes.Buffer{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "nosuch") {
+		t.Errorf("drbench -bench crafty,nosuch exited %d (stderr %q), want 1 naming the benchmark", code, stderr.String())
+	}
+}
+
+// TestPublishedTables runs every published table on two benchmarks and reads
+// each artifact back: one layout, one row per benchmark, one point per
+// column, and the fields bench/bench_test.go cross-checks (rows[].benchmark,
+// rows[].normalized and means.all of Figure 5; points[].name and
+// rows[].normalized of the cache sweep), next to the cachesweep suite's own
+// -diff report. Each table also enforces its
+// suite's coverage check, and the IBL suite's requires table displacement,
+// which among the benchmarks only gcc and perlbmk reach; Table 1's rows are
+// always crafty and vpr.
+func TestPublishedTables(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.json")
+	args := []string{"-table1", "-figure5", "-cachesweep", "-iblsweep", "-profile", "-diff", "cachesweep",
+		"-bench", "crafty,perlbmk", "-parallel", "0", "-json", path}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	// The -diff report of the suite behind a selected table gets its own
+	// file.
+	if got := readSchema(t, path+".cachesweep-diff.json"); got != "drbench/diff/v1" {
+		t.Errorf("cachesweep-diff: schema %q, want drbench/diff/v1", got)
+	}
+	if n := strings.Count(stdout.String(), "diff cachesweep:"); n != 1 {
+		t.Errorf("the cachesweep report printed %d times, want once", n)
+	}
+	for name, points := range map[string][]string{
+		"table1":     {"emulation", "bb-cache", "link-direct", "link-indirect", "traces"},
+		"figure5":    {"base", "rlr", "inc2add", "ibdispatch", "ctrace", "all"},
+		"cachesweep": {"512", "1k", "2k", "4k", "unbounded", "adaptive"},
+		"iblsweep":   {"direct-64", "direct-256", "open-64", "open-256", "adaptive-from-64", "open-256-noelide"},
+		"profile":    {"default"},
+	} {
+		raw, err := os.ReadFile(path + "." + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			Schema string
+			Points []struct{ Name string }
+			Rows   []struct {
+				Benchmark  string
+				Normalized []float64
+				Cells      []struct {
+					Ticks      uint64
+					PhaseTicks map[string]uint64 `json:"phase_ticks"`
+				}
+			}
+			Means struct{ All []float64 }
+		}
+		if err := json.Unmarshal(raw, &f); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.Schema != "drbench/table/v1" {
+			t.Errorf("%s: schema %q, want drbench/table/v1", name, f.Schema)
+		}
+		var got []string
+		for _, p := range f.Points {
+			got = append(got, p.Name)
+		}
+		if !slices.Equal(got, points) {
+			t.Errorf("%s: points %v, want %v", name, got, points)
+		}
+		second := "perlbmk"
+		if name == "table1" {
+			second = "vpr"
+		}
+		if len(f.Rows) != 2 || f.Rows[0].Benchmark != "crafty" || f.Rows[1].Benchmark != second {
+			t.Fatalf("%s: rows %+v, want crafty and %s", name, f.Rows, second)
+		}
+		for _, r := range f.Rows {
+			if len(r.Normalized) != len(points) || len(r.Cells) != len(points) {
+				t.Errorf("%s/%s: %d normalized, %d cells, want %d", name, r.Benchmark, len(r.Normalized), len(r.Cells), len(points))
+			}
+			for i, x := range r.Normalized {
+				if x <= 0 || r.Cells[i].Ticks == 0 {
+					t.Errorf("%s/%s/%s: normalized %v, ticks %d", name, r.Benchmark, points[i], x, r.Cells[i].Ticks)
+				}
+			}
+			if name == "profile" && len(r.Cells[0].PhaseTicks) == 0 {
+				t.Errorf("profile/%s: no phase ticks", r.Benchmark)
+			}
+		}
+		if len(f.Means.All) != len(points) {
+			t.Errorf("%s: means.all %v, want one per point", name, f.Means.All)
+		}
+	}
+}

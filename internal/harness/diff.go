@@ -40,6 +40,7 @@ type SuiteParams struct {
 	Seeds     []int64               // fault and chaos schedule seeds; nil means 101, 202, 303
 	FuzzSeeds []int64               // generator seeds of the fuzz suites; nil means 1..200
 	FuzzOps   int                   // statement budget per generated program; 0 means 40
+	EventRing int                   // per-thread event-trace ring of the profile suite; 0 means off
 }
 
 // suiteBuilders maps each suite name to its constructor, in SuiteNames order.
@@ -50,6 +51,8 @@ var suiteBuilders = []struct {
 	{"verify", verifySuite},
 	{"eviction", evictionSuite},
 	{"ibl", iblSuite},
+	{"cachesweep", cacheSweepSuite},
+	{"profile", profileSuite},
 	{"faultstorm", faultStormSuite},
 	{"chaosstorm", chaosStormSuite},
 	{"fuzz", fuzzSuite},
@@ -155,18 +158,21 @@ func bounded(bytes int) func(*core.Options) {
 	return func(o *core.Options) { o.BBCacheSize, o.TraceCacheSize = bytes, bytes }
 }
 
-// verifySuite is the transparency matrix: every benchmark under the Table 1
-// feature ladder and under the six Figure 5 client sets.
+// verifySuite is the transparency matrix behind Table 1 and Figure 5: every
+// benchmark under the Table 1 feature ladder, under the six Figure 5 client
+// sets on the paper's base system (Figure5Options) — the published cells —
+// and under all four clients on the default runtime, so the clients also
+// meet adaptive IBL and flag-save elision.
 func verifySuite(p SuiteParams) (*Suite, error) {
-	ladderNames := []string{"emulation", "bb-cache", "link-direct", "link-indirect", "traces"}
 	var configs []oracle.Config
 	for i, opts := range core.TableOneLadder() {
-		configs = append(configs, oracle.Config{Name: ladderNames[i], Opts: func() core.Options { return opts }})
+		configs = append(configs, oracle.Config{Name: tableOneLadder[i].config, Opts: func() core.Options { return opts }})
 	}
 	for c := ConfigBase; c < NumOptConfigs; c++ {
-		configs = append(configs, oracle.Config{Name: c.String(), Opts: core.Default,
-			Clients: func() []core.Client { return ClientsFor(c) }})
+		configs = append(configs, Figure5Config(c))
 	}
+	configs = append(configs, oracle.Config{Name: "all-default", Opts: core.Default,
+		Clients: func() []core.Client { return ClientsFor(ConfigAll) }})
 	return &Suite{Cases: benchCases(p.Benches), Configs: configs}, nil
 }
 
@@ -216,10 +222,14 @@ func evictionSuite(p SuiteParams) (*Suite, error) {
 	}, nil
 }
 
-// iblSuite proves the indirect-branch fast path transparent: direct-mapped
-// and open-address tables at deliberately tiny sizes (long probe chains,
-// displacement), adaptive growth from 64 entries, and elision off as the
-// ablation column.
+// iblSuite is the IBL sweep: the paper-era direct-mapped table at two sizes
+// as the ablation baseline, the open-address table at the same fixed sizes,
+// the adaptive table growing from the small size, and the elision ablation
+// (open-address with the conservative pushfd/popfd prefix everywhere). 64
+// entries is deliberately under-provisioned for the indirect-heavy
+// workloads, so the sweep shows both how the direct-mapped table degrades
+// (conflict misses back to the dispatcher) and how adaptive growth escapes;
+// the tiny tables also drive long probe chains and displacement.
 func iblSuite(p SuiteParams) (*Suite, error) {
 	mk := func(bits uint, direct, adaptive, elide bool) func() core.Options {
 		return defaultWith(func(o *core.Options) {
@@ -259,6 +269,67 @@ func iblSuite(p SuiteParams) (*Suite, error) {
 			}))
 			return errors.Join(errs...)
 		},
+	}, nil
+}
+
+// cacheSweepSuite is the cache-size sweep: fixed per-thread budgets from
+// severe to comfortable pressure, the unbounded baseline, and the adaptive
+// sizer starting from the smallest fixed budget. The ladder is scaled to the
+// synthetic suite's working sets (most benchmarks keep 0.7–1.8 KiB of live
+// code; gcc and perlbmk tens of KiB), so 512 bytes pressures everything and
+// 4 KiB only the two giants. Every benchmark must evict at 512 bytes and
+// never when unbounded, and adaptive sizing, which starts at 512 bytes, must
+// never end up slower than staying there (the point of Section 6.2).
+func cacheSweepSuite(p SuiteParams) (*Suite, error) {
+	configs := []oracle.Config{
+		{Name: "512", Opts: defaultWith(bounded(512))},
+		{Name: "1k", Opts: defaultWith(bounded(1 << 10))},
+		{Name: "2k", Opts: defaultWith(bounded(2 << 10))},
+		{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
+		{Name: "unbounded", Opts: core.Default},
+		{Name: "adaptive", Opts: defaultWith(func(o *core.Options) {
+			bounded(512)(o)
+			o.AdaptiveCache = true
+		})},
+	}
+	n := len(configs)
+	return &Suite{
+		Cases:   benchCases(p.Benches),
+		Configs: configs,
+		Coverage: func(outs []oracle.Outcome) error {
+			var errs []error
+			var resizes uint64
+			// Outcomes come case by case in config order: 512 first,
+			// unbounded and adaptive last.
+			for i := 0; i+n <= len(outs); i += n {
+				tight, unbounded, adaptive := outs[i], outs[i+4], outs[i+5]
+				if tight.Stats.Evictions == 0 {
+					errs = append(errs, fmt.Errorf("%s: the 512-byte budget never evicted", tight.Case))
+				}
+				if unbounded.Stats.Evictions != 0 {
+					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", tight.Case, unbounded.Stats.Evictions))
+				}
+				if adaptive.Normalized() > tight.Normalized() {
+					errs = append(errs, fmt.Errorf("%s: adaptive (%.3f) slower than the fixed 512-byte budget (%.3f)",
+						tight.Case, adaptive.Normalized(), tight.Normalized()))
+				}
+				resizes += adaptive.Stats.CacheResizes
+			}
+			return errors.Join(append(errs, requireNonzero(map[string]uint64{"adaptive cache resizes": resizes}))...)
+		},
+	}, nil
+}
+
+// profileSuite is the where-the-cycles-go experiment: the default runtime
+// with phase accounting and fragment profiles on (and, with
+// SuiteParams.EventRing, the event trace). The engine's Failure check holds
+// every run to tick conservation: the phases sum exactly to the run's ticks.
+func profileSuite(p SuiteParams) (*Suite, error) {
+	return &Suite{
+		Cases: benchCases(p.Benches),
+		Configs: []oracle.Config{{Name: "default", Opts: defaultWith(func(o *core.Options) {
+			o.Profile, o.EventRing = true, p.EventRing
+		})}},
 	}, nil
 }
 

@@ -97,14 +97,15 @@ func TestFuzzUnderChaos(t *testing.T) {
 	}
 }
 
-// TestVerifySuite runs the transparency matrix — the Table 1 ladder and the
-// six Figure 5 client sets under the full oracle — on Table 1's two
-// benchmarks. Pure emulation of the whole suite is too slow for go test
-// under the race detector; CI runs all 242 cells as drbench -diff verify.
+// TestVerifySuite runs the transparency matrix — the Table 1 ladder, the six
+// Figure 5 client sets on the paper's base system and all clients on the
+// default runtime, under the full oracle — on Table 1's two benchmarks. Pure
+// emulation of the whole suite is too slow for go test under the race
+// detector; CI runs all 264 cells as drbench -diff verify.
 func TestVerifySuite(t *testing.T) {
 	benches := []*workload.Benchmark{workload.ByName("crafty"), workload.ByName("vpr")}
 	_, outs := runSuite(t, "verify", SuiteParams{Benches: benches}, true)
-	if len(outs) != 22 {
-		t.Errorf("%d runs, want 22", len(outs))
+	if len(outs) != 24 {
+		t.Errorf("%d runs, want 24", len(outs))
 	}
 }

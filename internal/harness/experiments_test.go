@@ -1,14 +1,46 @@
 package harness_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/instr"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
+
+// view runs the named suite over the named benchmarks (every benchmark when
+// none are named) with only the given configs (all of them when nil), checks
+// every cell and the suite's coverage, and returns the grid a published view
+// would format.
+func view(t *testing.T, suite string, configs []string, names ...string) harness.Grid {
+	t.Helper()
+	benches, err := workload.Select(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := harness.NewSuite(suite, harness.SuiteParams{Benches: benches, EventRing: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if configs != nil {
+		s.Configs = slices.DeleteFunc(s.Configs, func(c oracle.Config) bool { return !slices.Contains(configs, c.Name) })
+	}
+	outs, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(outs); err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Grid(outs, nil, configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // TestTable1Shape checks the paper's Table 1 qualitatively: each added
 // feature reduces normalized execution time, pure emulation costs a few
@@ -16,11 +48,19 @@ import (
 // lands within a factor of two of native — with crafty (indirect-rich)
 // consistently harder than vpr once linking starts, as in the paper.
 func TestTable1Shape(t *testing.T) {
-	rows := harness.Table1()
+	g := view(t, "verify", harness.TableOneConfigs(), "crafty", "vpr")
+	t.Log("\n" + harness.FormatTable1(g))
+	type row struct {
+		System      string
+		Crafty, Vpr float64
+	}
+	var rows []row
+	for c, cfg := range g.Configs {
+		rows = append(rows, row{cfg, g.Rows[0].Cells[c].Normalized(), g.Rows[1].Cells[c].Normalized()})
+	}
 	if len(rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(rows))
 	}
-	t.Log("\n" + harness.FormatTable1(rows))
 
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Crafty >= rows[i-1].Crafty {
@@ -114,31 +154,31 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 5 sweep is slow; run without -short")
 	}
-	rows := harness.Figure5()
-	if len(rows) != 22 {
-		t.Fatalf("%d rows, want 22", len(rows))
+	g := view(t, "verify", harness.Figure5Configs())
+	if len(g.Rows) != 22 {
+		t.Fatalf("%d rows, want 22", len(g.Rows))
 	}
-	t.Log("\n" + harness.FormatFigure5(rows))
-	get := func(name string) harness.Figure5Row {
-		for _, r := range rows {
-			if r.Benchmark == name {
+	t.Log("\n" + harness.FormatFigure5(g))
+	norm := func(r harness.GridRow, c harness.OptConfig) float64 { return r.Cells[c].Normalized() }
+	get := func(name string) harness.GridRow {
+		for _, r := range g.Rows {
+			if r.Case == name {
 				return r
 			}
 		}
 		t.Fatalf("missing %s", name)
-		return harness.Figure5Row{}
+		return harness.GridRow{}
 	}
 
 	// mgrid: the ~40% redundant-load-removal headline.
-	mgrid := get("mgrid")
-	if mgrid.Normalized[harness.ConfigRLR] > 0.70 {
-		t.Errorf("mgrid rlr = %.3f, want <= 0.70 (~40%% win)", mgrid.Normalized[harness.ConfigRLR])
+	if rlr := norm(get("mgrid"), harness.ConfigRLR); rlr > 0.70 {
+		t.Errorf("mgrid rlr = %.3f, want <= 0.70 (~40%% win)", rlr)
 	}
 
 	// inc2add speeds up a number of benchmarks.
 	wins := 0
-	for _, r := range rows {
-		if r.Normalized[harness.ConfigInc2Add] < r.Normalized[harness.ConfigBase]*0.97 {
+	for _, r := range g.Rows {
+		if norm(r, harness.ConfigInc2Add) < norm(r, harness.ConfigBase)*0.97 {
 			wins++
 		}
 	}
@@ -148,9 +188,8 @@ func TestFigure5Shape(t *testing.T) {
 
 	// ibdispatch helps several integer benchmarks.
 	ibWins := 0
-	for _, r := range rows {
-		if r.Class == workload.ClassInt &&
-			r.Normalized[harness.ConfigIBDispatch] < r.Normalized[harness.ConfigBase]*0.99 {
+	for _, r := range g.Rows {
+		if r.Class == workload.ClassInt && norm(r, harness.ConfigIBDispatch) < norm(r, harness.ConfigBase)*0.99 {
 			ibWins++
 		}
 	}
@@ -160,9 +199,8 @@ func TestFigure5Shape(t *testing.T) {
 
 	// Custom traces speed up a number of the integer benchmarks.
 	ctWins := 0
-	for _, r := range rows {
-		if r.Class == workload.ClassInt &&
-			r.Normalized[harness.ConfigCTrace] < r.Normalized[harness.ConfigBase]*0.95 {
+	for _, r := range g.Rows {
+		if r.Class == workload.ClassInt && norm(r, harness.ConfigCTrace) < norm(r, harness.ConfigBase)*0.95 {
 			ctWins++
 		}
 	}
@@ -170,16 +208,16 @@ func TestFigure5Shape(t *testing.T) {
 		t.Errorf("ctrace wins on %d INT benchmarks, want >= 4", ctWins)
 	}
 
-	m := harness.Means(rows)
+	fp, _, all := g.ClassMeans()
 	// FP mean under "all": the paper reports a 12% improvement over
 	// native (0.88). Accept a band around it.
-	if m.FP[harness.ConfigAll] > 0.95 || m.FP[harness.ConfigAll] < 0.75 {
-		t.Errorf("FP mean all = %.3f, want ~0.88", m.FP[harness.ConfigAll])
+	if fp[harness.ConfigAll] > 0.95 || fp[harness.ConfigAll] < 0.75 {
+		t.Errorf("FP mean all = %.3f, want ~0.88", fp[harness.ConfigAll])
 	}
 	// Combined mean beats the base system by >= 10% (paper: 12%).
-	if m.All[harness.ConfigAll] > m.All[harness.ConfigBase]*0.90 {
+	if all[harness.ConfigAll] > all[harness.ConfigBase]*0.90 {
 		t.Errorf("all-mean %.3f vs base-mean %.3f: want >= 10%% improvement",
-			m.All[harness.ConfigAll], m.All[harness.ConfigBase])
+			all[harness.ConfigAll], all[harness.ConfigBase])
 	}
 
 	// perlbmk and gcc: optimizations cost more than they pay back.
@@ -187,7 +225,7 @@ func TestFigure5Shape(t *testing.T) {
 		r := get(name)
 		slowdowns := 0
 		for _, c := range []harness.OptConfig{harness.ConfigIBDispatch, harness.ConfigCTrace, harness.ConfigAll} {
-			if r.Normalized[c] > r.Normalized[harness.ConfigBase]*0.995 {
+			if norm(r, c) > norm(r, harness.ConfigBase)*0.995 {
 				slowdowns++
 			}
 		}
@@ -197,13 +235,21 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
+// TestFormatters renders every view over a hand-built grid.
 func TestFormatters(t *testing.T) {
-	rows := []harness.Figure5Row{{Benchmark: "x", Class: workload.ClassFP}}
-	if s := harness.FormatFigure5(rows); !strings.Contains(s, "Figure 5") {
-		t.Error("missing header")
-	}
-	if s := harness.FormatTable1([]harness.Table1Row{{System: "Emulation"}}); !strings.Contains(s, "crafty") {
-		t.Error("missing table 1 header")
+	cell := oracle.Outcome{Match: true, Ticks: 300, NativeTicks: 200}
+	g := harness.Grid{Configs: []string{"emulation"}, Rows: []harness.GridRow{{Case: "crafty", Cells: []oracle.Outcome{cell}}}}
+	table1 := harness.Grid{Configs: []string{"emulation", "bb-cache"}, Rows: []harness.GridRow{{Case: "crafty", Cells: []oracle.Outcome{cell, cell}}}}
+	for want, out := range map[string]string{
+		"Figure 5":            harness.FormatFigure5(g),
+		"Cache sweep":         harness.FormatCacheSweep(g),
+		"IBL sweep":           harness.FormatIBLSweep(g),
+		"+ Basic block cache": harness.FormatTable1(table1),
+		"1.500":               harness.FormatFigure5(g),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in\n%s", want, out)
+		}
 	}
 }
 
@@ -232,15 +278,3 @@ func TestHarvestBlocks(t *testing.T) {
 		t.Errorf("average block size %.1f bytes, implausible", avg)
 	}
 }
-
-func TestRunConfigTransparencyGuard(t *testing.T) {
-	// RunConfig itself verifies output equality; run one benchmark
-	// through a couple of configs to exercise the guard.
-	b := workload.ByName("gzip")
-	res := harness.RunConfig(b, coreDefaultForTest())
-	if res.Normalized <= 0 {
-		t.Error("bad normalization")
-	}
-}
-
-func coreDefaultForTest() core.Options { return core.Default() }

@@ -77,10 +77,10 @@ func DecodeEncodeAt(raw []byte, pc uint32, level instr.Level) *instr.List {
 	return l
 }
 
-// Table2 reproduces the paper's Table 2: for each of the five levels,
-// the mean wall-clock time (µs) and memory (bytes) to decode and then
-// encode the suite's basic blocks. Absolute numbers reflect this Go
-// implementation on the host machine; the reproduction target is the shape:
+// Table2 reproduces the paper's Table 2: for each of the five levels, the
+// mean per-block wall-clock time (µs, each block's best of 40 rounds) and
+// memory (bytes) to decode and then encode the suite's basic blocks.
+// Absolute numbers reflect this Go implementation on the host machine; the reproduction target is the shape:
 // Level 0 is far cheaper than everything else, Levels 1 and 2 are close,
 // Level 3 costs more, and Level 4 — the only level that must run the
 // template-matching encoder — is by far the most expensive.
@@ -94,21 +94,35 @@ func Table2() []Table2Row {
 			l := DecodeEncodeAt(blk.Raw, blk.PC, lv)
 			bytesTotal += l.MemUsage()
 		}
-		// Time: repeat enough rounds for a stable average.
-		const rounds = 40
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, blk := range blocks {
-				DecodeEncodeAt(blk.Raw, blk.PC, lv)
+		rows[lv] = Table2Row{Level: lv, BytesPerBB: float64(bytesTotal) / float64(len(blocks))}
+	}
+	// Time: each block is timed at every level in turn, and each (block,
+	// level) pair keeps its best of 40 rounds — the per-op-best estimator
+	// the repo benchmark (bench/) uses. Host load then hits every level
+	// alike, and a preemption or GC pause that lands on one timing is
+	// measured again clean in another round.
+	const rounds = 40
+	best := make([][]time.Duration, len(rows))
+	for lv := range best {
+		best[lv] = make([]time.Duration, len(blocks))
+	}
+	for r := 0; r < rounds; r++ {
+		for i, blk := range blocks {
+			for lv := range rows {
+				start := time.Now()
+				DecodeEncodeAt(blk.Raw, blk.PC, instr.Level(lv))
+				if d := time.Since(start); r == 0 || d < best[lv][i] {
+					best[lv][i] = d
+				}
 			}
 		}
-		elapsed := time.Since(start)
-		perBB := elapsed.Seconds() * 1e6 / float64(rounds*len(blocks))
-		rows[lv] = Table2Row{
-			Level:       lv,
-			MicrosPerBB: perBB,
-			BytesPerBB:  float64(bytesTotal) / float64(len(blocks)),
+	}
+	for lv := range rows {
+		var sum time.Duration
+		for _, d := range best[lv] {
+			sum += d
 		}
+		rows[lv].MicrosPerBB = sum.Seconds() * 1e6 / float64(len(blocks))
 	}
 	return rows
 }

@@ -18,7 +18,7 @@ import (
 // watchdog, and (optionally) span export — with the differential guarantee
 // checked per benchmark: the instrumented run must end bit-identical to a
 // native run of the same program through the internal/oracle capture. It is
-// the live-telemetry analogue of the Profile experiment: Profile answers
+// the live-telemetry analogue of the profile suite: the profile answers
 // "where did the cycles go", Telemetry answers "how did the mechanisms
 // behave, and did anything pathological happen".
 
@@ -52,9 +52,9 @@ func (c *telemetryCollector) WatchdogAnomaly(r *core.RIO, a obs.Anomaly) {
 }
 
 // runTelemetry measures one benchmark with all telemetry on and verifies the
-// differential guarantee. The native baseline is run fresh rather than taken
-// from the shared cache: oracle.Capture canonicalizes the dead stack band in
-// place, so capturing needs a machine nobody else will read.
+// differential guarantee against a fresh native run. It is not a
+// differential suite because each benchmark's spans need their own
+// TraceEventPID, which a case-blind oracle.Config cannot set.
 func runTelemetry(b *workload.Benchmark, tw *obs.TraceWriter, pid int) (TelemetryRow, error) {
 	row := TelemetryRow{Benchmark: b.Name, Class: b.Class}
 

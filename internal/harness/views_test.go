@@ -1,0 +1,137 @@
+package harness_test
+
+import (
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/harness"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+// TestCacheSweep runs the cache sweep on two benchmarks whose working sets
+// exceed the tight budget. The suite's coverage check (which view fails on)
+// requires the 512-byte budget to evict, the unbounded cache never to evict,
+// and adaptive sizing to resize and end no slower than 512 bytes; here both
+// benchmarks must also resize.
+func TestCacheSweep(t *testing.T) {
+	g := view(t, "cachesweep", nil, "crafty", "gzip")
+	adaptive := slices.Index(g.Configs, "adaptive")
+	for _, r := range g.Rows {
+		if r.Cells[adaptive].Stats.CacheResizes == 0 {
+			t.Errorf("%s: adaptive sizing never resized", r.Case)
+		}
+	}
+	if out := harness.FormatCacheSweep(g); !strings.Contains(out, "evictions / regenerations / resizes") {
+		t.Errorf("cache sweep view:\n%s", out)
+	}
+}
+
+// TestIBLSweepShape asserts the acceptance claims of the IBL experiment:
+// (a) the adaptive open-address table takes fewer trips through the
+// dispatcher than the fixed direct-mapped baseline on the indirect-heavy
+// benchmarks, and (b) flag-save elision reduces total simulated cycles on
+// the flag-dead-heavy workloads relative to the same configuration with
+// elision disabled.
+func TestIBLSweepShape(t *testing.T) {
+	g := view(t, "ibl", nil)
+	if len(g.Rows) != len(workload.All()) {
+		t.Fatalf("%d rows, want %d", len(g.Rows), len(workload.All()))
+	}
+	direct64 := slices.Index(g.Configs, "direct-64")
+	adaptive := slices.Index(g.Configs, "adaptive-from-64")
+	open256 := slices.Index(g.Configs, "open-256")
+	noElide := slices.Index(g.Configs, "open-256-noelide")
+	if direct64 < 0 || adaptive < 0 || open256 < 0 || noElide < 0 {
+		t.Fatal("the ibl suite is missing a required config")
+	}
+	byName := map[string]harness.GridRow{}
+	for _, r := range g.Rows {
+		byName[r.Case] = r
+	}
+
+	// (a) The indirect-heavy analogues. gap's working set of indirect
+	// targets happens to fit even the 64-entry direct-mapped table without
+	// conflicts, so it is allowed to tie; the others must strictly improve,
+	// and the group total must drop.
+	var totalDirect, totalAdaptive uint64
+	for _, name := range []string{"crafty", "eon", "perlbmk", "gap"} {
+		r, ok := byName[name]
+		if !ok {
+			t.Fatalf("no row for %s", name)
+		}
+		d := r.Cells[direct64].Stats.ContextSwitches
+		a := r.Cells[adaptive].Stats.ContextSwitches
+		totalDirect += d
+		totalAdaptive += a
+		if a > d {
+			t.Errorf("%s: adaptive IBL context switches %d > direct-mapped %d", name, a, d)
+		}
+		if name != "gap" && a >= d {
+			t.Errorf("%s: adaptive IBL context switches %d, want strictly below direct-mapped %d", name, a, d)
+		}
+	}
+	if totalAdaptive >= totalDirect {
+		t.Errorf("adaptive IBL context switches %d over the indirect-heavy group, want below direct-mapped %d",
+			totalAdaptive, totalDirect)
+	}
+
+	// (b) Flag-save elision on the flag-dead-heavy workloads: same table,
+	// only the prefix form differs.
+	for _, name := range []string{"crafty", "eon", "perlbmk", "gap", "mesa"} {
+		r := byName[name]
+		with := r.Cells[open256].Ticks.Cycles()
+		without := r.Cells[noElide].Ticks.Cycles()
+		if with >= without {
+			t.Errorf("%s: %d cycles with elision, want below %d without", name, with, without)
+		}
+		if r.Cells[open256].Stats.FlagsElisions == 0 {
+			t.Errorf("%s: no fragments elided; the comparison is vacuous", name)
+		}
+	}
+	_, _, means := g.ClassMeans()
+	if means[open256] >= means[noElide] {
+		t.Errorf("suite mean %0.4f with elision, want below %0.4f without", means[open256], means[noElide])
+	}
+	if means[adaptive] >= means[direct64] {
+		t.Errorf("suite mean %0.4f with adaptive IBL, want below %0.4f direct-mapped", means[adaptive], means[direct64])
+	}
+}
+
+// TestProfileExperiment runs the profile suite over a small benchmark set
+// with a 128-entry event ring and checks the cells the profile view reads.
+// Tick conservation is part of every cell's oracle check, so here we check
+// the report-facing shape.
+func TestProfileExperiment(t *testing.T) {
+	g := view(t, "profile", nil, "gzip", "crafty", "mgrid")
+	for i, r := range g.Rows {
+		o := r.Cells[0]
+		if want := []string{"gzip", "crafty", "mgrid"}[i]; r.Case != want {
+			t.Errorf("row %d: benchmark %q, want %q (input order)", i, r.Case, want)
+		}
+		if o.Ticks == 0 || o.Normalized() <= 1.0 {
+			t.Errorf("%s: implausible ticks %d (normalized %.3f)", r.Case, o.Ticks, o.Normalized())
+		}
+		if o.Phases == nil || o.Phases.Sum() != uint64(o.Ticks) {
+			t.Errorf("%s: phase ticks %v do not sum to %d", r.Case, o.Phases, o.Ticks)
+		}
+		if len(o.Profiles) == 0 {
+			t.Errorf("%s: no fragments profiled", r.Case)
+		}
+		if len(o.Events) == 0 {
+			t.Errorf("%s: event ring enabled but no events drained", r.Case)
+		}
+		if o.Stats.BlocksBuilt == 0 {
+			t.Errorf("%s: stats snapshot empty", r.Case)
+		}
+		top := obs.TopN(o.Profiles, 5)
+		if len(top) == 0 || !sort.SliceIsSorted(top, func(a, b int) bool { return top[a].Ticks > top[b].Ticks }) {
+			t.Errorf("%s: top fragments empty or not sorted by ticks", r.Case)
+		}
+	}
+	if out := harness.FormatProfile(g, 5); !strings.Contains(out, "crafty: hottest fragments") {
+		t.Errorf("profile view:\n%s", out)
+	}
+}

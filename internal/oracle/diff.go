@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // The differential engine. Every transparency check in the repository is one
@@ -75,13 +76,30 @@ type Outcome struct {
 	Fires map[string]uint64 `json:"fires,omitempty"`
 	// InvariantErr is the first CheckCacheInvariants failure over the
 	// attached threads after the run.
-	InvariantErr string     `json:"invariant_err,omitempty"`
-	Stats        core.Stats `json:"stats"`
+	InvariantErr string `json:"invariant_err,omitempty"`
+	// Ticks is the runtime run's simulated time and NativeTicks the
+	// reference run's: their ratio is the paper's normalized execution time.
+	Ticks       machine.Ticks `json:"ticks"`
+	NativeTicks machine.Ticks `json:"native_ticks"`
+	// Phases attributes every tick of a run with Options.Profile to an
+	// execution phase, and Profiles holds its fragment profiles; both are
+	// nil without profiling.
+	Phases   *obs.PhaseTicks       `json:"phase_ticks,omitempty"`
+	Profiles []obs.FragmentProfile `json:"-"`
+	// Events is the event trace drained from a run with Options.EventRing,
+	// and EventsDropped counts ring overwrites before the drain.
+	Events        []obs.Event `json:"-"`
+	EventsDropped uint64      `json:"events_dropped,omitempty"`
+	Stats         core.Stats  `json:"stats"`
 }
 
+// Normalized is the run's simulated time as a ratio to native: the y-axis
+// of the paper's tables and figures.
+func (o Outcome) Normalized() float64 { return float64(o.Ticks) / float64(o.NativeTicks) }
+
 // Failure describes why the outcome fails — a run error, an oracle mismatch,
-// a failed rollback audit or a broken cache invariant — or returns "" when
-// it passes.
+// a failed rollback audit, a broken cache invariant or phase ticks that do
+// not sum to the run's ticks — or returns "" when it passes.
 func (o Outcome) Failure() string {
 	switch {
 	case o.Err != "":
@@ -92,6 +110,8 @@ func (o Outcome) Failure() string {
 		return fmt.Sprintf("audit: %d rollback audits failed", o.Stats.RecoveryAuditFailures)
 	case o.InvariantErr != "":
 		return "invariant: " + o.InvariantErr
+	case o.Phases != nil && o.Phases.Sum() != uint64(o.Ticks):
+		return fmt.Sprintf("phases: phase ticks sum to %d, run ticks %d", o.Phases.Sum(), o.Ticks)
 	}
 	return ""
 }
@@ -196,6 +216,7 @@ func runJob(job func(int) error, i int) (err error) {
 type reference struct {
 	plans []FaultPlan
 	want  State
+	ticks machine.Ticks
 	err   error
 }
 
@@ -217,12 +238,12 @@ func Diff(workers int, cases []Case, configs []Config, perts []Perturbation) ([]
 	refs := make([]reference, len(cases)*np)
 	traces := make([][]machine.SyscallRecord, len(cases))
 	cleanErrs := Parallel(workers, len(cases), func(i int) error {
-		want, trace, err := runNative(cases[i], nil)
+		ref, trace := runNative(cases[i], nil)
 		for j := range perts {
-			refs[i*np+j] = reference{want: want, err: err}
+			refs[i*np+j] = ref
 		}
 		traces[i] = trace
-		return err
+		return ref.err
 	})
 	faultErrs := Parallel(workers, len(refs), func(k int) error {
 		ref, p, trace := &refs[k], perts[k%np], traces[k/np]
@@ -233,8 +254,7 @@ func Diff(workers int, cases []Case, configs []Config, perts []Perturbation) ([]
 			ref.err = errors.New("no system calls to plan faults at")
 			return ref.err
 		}
-		ref.plans = PlanFaults(trace, p.Seed)
-		ref.want, _, ref.err = runNative(cases[k/np], ref.plans)
+		*ref, _ = runNative(cases[k/np], PlanFaults(trace, p.Seed))
 		return ref.err
 	})
 
@@ -284,16 +304,18 @@ func prepare(m *machine.Machine, c Case, plans []FaultPlan) {
 	}
 }
 
-// runNative runs a case on a bare machine and captures its endpoint and
-// syscall trace.
-func runNative(c Case, plans []FaultPlan) (State, []machine.SyscallRecord, error) {
+// runNative runs a case on a bare machine under the given fault plans and
+// captures its endpoint, ticks and syscall trace.
+func runNative(c Case, plans []FaultPlan) (reference, []machine.SyscallRecord) {
+	ref := reference{plans: plans}
 	m := machine.New(machine.PentiumIV())
 	c.Image.Boot(m)
 	prepare(m, c, plans)
-	if err := m.Run(RunLimit); err != nil {
-		return State{}, nil, err
+	if ref.err = m.Run(RunLimit); ref.err != nil {
+		return ref, nil
 	}
-	return Capture(m), m.SyscallTrace, nil
+	ref.want, ref.ticks = Capture(m), m.Ticks
+	return ref, m.SyscallTrace
 }
 
 // runCell runs one case under one config and perturbation and fills o.
@@ -313,6 +335,14 @@ func runCell(o *Outcome, c Case, cfg Config, p Perturbation, ref reference) erro
 	prepare(m, c, ref.plans)
 	if err := r.Run(RunLimit); err != nil {
 		return err
+	}
+	o.Ticks, o.NativeTicks = m.Ticks, ref.ticks
+	if opts.Profile {
+		phases := r.PhaseTicks()
+		o.Phases, o.Profiles = &phases, r.FragmentProfiles()
+	}
+	if tr := r.Tracer(); tr.Enabled() {
+		o.Events, o.EventsDropped = tr.Drain(), tr.Dropped()
 	}
 	got := Capture(m)
 	o.Match = Equal(ref.want, got)

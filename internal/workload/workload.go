@@ -104,6 +104,21 @@ func ByName(name string) *Benchmark {
 	return nil
 }
 
+// Select returns the named benchmarks in the order given, or every benchmark
+// when no names are given; an unknown name is an error.
+func Select(names ...string) ([]*Benchmark, error) {
+	if len(names) == 0 {
+		return All(), nil
+	}
+	benches := make([]*Benchmark, len(names))
+	for i, n := range names {
+		if benches[i] = ByName(n); benches[i] == nil {
+			return nil, fmt.Errorf("unknown benchmark %s", n)
+		}
+	}
+	return benches, nil
+}
+
 // ByClass returns the benchmarks of one class.
 func ByClass(c Class) []*Benchmark {
 	var out []*Benchmark
