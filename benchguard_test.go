@@ -15,7 +15,6 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/harness"
 	"repro/internal/oracle"
@@ -76,28 +75,31 @@ func TestFigure5RegressionGuard(t *testing.T) {
 }
 
 // TestTelemetryOverheadGuard pins the cost of full telemetry (histograms,
-// watchdog, span export, phase accounting) against the plain default
-// configuration on the guard subset. Telemetry reads the clock but never
-// charges it, so its simulated overhead is exactly zero; the 1.05 band is the
-// CI contract from the issue, and a failure means instrumentation started
-// charging ticks.
+// watchdog, event ring, phase accounting) against the plain default
+// configuration on the guard subset: the telemetry suite's two columns.
+// Telemetry reads the clock but never charges it, so its simulated overhead
+// is exactly zero (the suite's check already requires equal ticks per
+// workload); the 1.05 band is the CI contract, and a failure means
+// instrumentation started charging ticks.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	guard.Gate(t)
-	benches := guardBenches(t)
-	rows, err := harness.Telemetry(0, benches, nil)
+	s, err := harness.NewSuite("telemetry", harness.SuiteParams{Benches: guardBenches(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// TelemetryRow.Normalized is instrumented-vs-native; the plain default
-	// configuration's own ratio is the baseline to beat.
-	var on, off []float64
-	for _, r := range rows {
-		on = append(on, r.Normalized)
+	outs, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, o := range verified(t, benches, oracle.Config{Name: "default", Opts: core.Default}) {
-		off = append(off, o.Normalized())
+	if err := s.Check(outs); err != nil {
+		t.Fatal(err)
 	}
-	ratio := harness.GeoMean(on) / harness.GeoMean(off)
+	g, err := s.Grid(outs, nil, []string{"telemetry", "default"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, all := g.ClassMeans()
+	ratio := all[0] / all[1]
 	if ratio > 1.05 {
 		t.Errorf("full telemetry costs %.4fx the plain default configuration (budget 1.05x)", ratio)
 	}

@@ -181,8 +181,9 @@ func tableJSON(name string, r *suiteRun, g harness.Grid, topN, workers int) tabl
 
 // telemetryFile is the file layout of -telemetry -json: per benchmark the
 // distribution-metric digests, any watchdog detections (zero on a healthy
-// suite — CI asserts this), and the runtime counters behind them. Every row
-// in this file has already passed the bit-identity check against native.
+// suite — the telemetry suite's coverage check fails on any), and the
+// runtime counters behind them. Every row is the telemetry column of the
+// telemetry suite and has passed the full oracle against native.
 type telemetryFile struct {
 	header
 	Metrics   []string           `json:"metrics"`
@@ -206,25 +207,26 @@ type telemetryRowJSON struct {
 	Recoveries  uint64 `json:"recoveries"`
 }
 
-func telemetryJSON(rows []harness.TelemetryRow, workers int, elapsed time.Duration) telemetryFile {
+func telemetryJSON(g harness.Grid, workers int, elapsed time.Duration) telemetryFile {
 	out := telemetryFile{
 		header:  newHeader("drbench/telemetry/v1", workers, elapsed),
 		Metrics: obs.MetricNames(),
 	}
-	for _, r := range rows {
-		out.Anomalies += uint64(len(r.Anomalies))
+	for _, r := range g.Rows {
+		o := r.Cells[0]
+		out.Anomalies += uint64(len(o.Anomalies))
 		out.Rows = append(out.Rows, telemetryRowJSON{
-			Benchmark:   r.Benchmark,
+			Benchmark:   r.Case,
 			Class:       r.Class.String(),
-			Ticks:       uint64(r.Ticks),
-			Normalized:  r.Normalized,
-			Histograms:  r.Histograms,
-			Anomalies:   r.Anomalies,
-			BlocksBuilt: r.Stats.BlocksBuilt,
-			TracesBuilt: r.Stats.TracesBuilt,
-			Evictions:   r.Stats.Evictions,
-			IBLMisses:   r.Stats.IBLMisses,
-			Recoveries:  r.Stats.Recoveries,
+			Ticks:       uint64(o.Ticks),
+			Normalized:  o.Normalized(),
+			Histograms:  o.Histograms,
+			Anomalies:   o.Anomalies,
+			BlocksBuilt: o.Stats.BlocksBuilt,
+			TracesBuilt: o.Stats.TracesBuilt,
+			Evictions:   o.Stats.Evictions,
+			IBLMisses:   o.Stats.IBLMisses,
+			Recoveries:  o.Stats.Recoveries,
 		})
 	}
 	return out

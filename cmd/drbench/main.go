@@ -30,14 +30,15 @@
 // suite on one engine (internal/oracle.Diff): cases x perturbations x
 // configs, each runtime run compared with native on the full oracle state.
 // The published tables are views over suite outcomes: Table 1 and Figure 5
-// over verify, the cache sweep over cachesweep, the IBL sweep over ibl and
-// the profile over profile. Each suite runs at most once per invocation, so
-// -table1 -figure5 -diff verify share one verify run, and a table fails
-// whenever its suite's check does. Tables write the drbench/table/v1 JSON
-// layout and -diff suites drbench/diff/v1; with several experiments and
-// -json, each writes <path>.<experiment>.json, where a -diff report whose
-// suite shares a selected table's name (cachesweep, profile) is the
-// experiment <suite>-diff.
+// over verify, the cache sweep over cachesweep, the IBL sweep over ibl, the
+// profile over profile and the telemetry report over telemetry. Each suite
+// runs at most once per invocation, so -table1 -figure5 -diff verify share
+// one verify run, and a table fails whenever its suite's check does. Tables write the drbench/table/v1 JSON
+// layout (the telemetry report drbench/telemetry/v1) and -diff suites
+// drbench/diff/v1; with several experiments and -json, each writes
+// <path>.<experiment>.json, where a -diff report whose suite shares a
+// selected table's name (cachesweep, profile, telemetry) is the experiment
+// <suite>-diff.
 //
 // See EXPERIMENTS.md for the paper-versus-measured discussion.
 package main
@@ -54,6 +55,7 @@ import (
 
 	"repro/internal/fuzz"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/workload"
 )
@@ -108,8 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topN       = fs.Int("top", 10, "hottest fragments kept per benchmark for -profile")
 		ring       = fs.Int("ring", 0, "per-thread event-trace ring size for the profile suite (0 = tracing off)")
 		traceOut   = fs.String("trace-out", "", "write the drained -profile event trace as JSONL to this path (implies -ring 4096 unless set)")
-		telemetry  = fs.Bool("telemetry", false, "run the live-telemetry experiment: histograms + watchdog with all instrumentation on, checked bit-identical to native")
-		traceEvs   = fs.String("trace-events", "", "write the -telemetry span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
+		telemetry  = fs.Bool("telemetry", false, "run the live-telemetry experiment (the telemetry suite): histograms + watchdog with all instrumentation on, checked bit-identical to native")
+		traceEvs   = fs.String("trace-events", "", "write the telemetry suite's span stream as Chrome trace-event JSON to this path (load at ui.perfetto.dev)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -164,6 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*cachesweep, view{"cachesweep", "cachesweep", benches, nil, harness.FormatCacheSweep}},
 		{*iblsweep, view{"iblsweep", "ibl", benches, nil, harness.FormatIBLSweep}},
 		{*profile, view{"profile", "profile", benches, nil, func(g harness.Grid) string { return harness.FormatProfile(g, *topN) }}},
+		{*telemetry, view{"telemetry", "telemetry", benches, []string{"telemetry"}, harness.FormatTelemetry}},
 	} {
 		if v.on {
 			views = append(views, v.view)
@@ -184,6 +187,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FuzzSeeds: harness.SeedRange(*fuzzBase, *fuzzSeeds),
 		FuzzOps:   *fuzzOps,
 		EventRing: *ring,
+	}
+	if *traceEvs != "" {
+		f, err := os.Create(*traceEvs)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		params.TraceEvents = obs.NewTraceWriter(f)
 	}
 	runs := map[string]*suiteRun{}
 	runSuite := func(name string) (*suiteRun, error) {
@@ -236,7 +247,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			fmt.Fprintln(stdout, v.format(g))
-			if err := save(path, len(g.Rows), r.elapsed, tableJSON(v.name, r, g, *topN, *parallel)); err != nil {
+			var doc any = tableJSON(v.name, r, g, *topN, *parallel)
+			if v.name == "telemetry" {
+				doc = telemetryJSON(g, *parallel, r.elapsed)
+			}
+			if err := save(path, len(g.Rows), r.elapsed, doc); err != nil {
 				return err
 			}
 			if v.name == "profile" && *traceOut != "" {
@@ -260,36 +275,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return reportDiff(stdout, r, *parallel, path, *fuzzCorpus, params)
 		}})
 	}
-	if *telemetry {
-		exps = append(exps, experiment{"telemetry", func(path string) error {
-			var traceW io.Writer
-			if *traceEvs != "" {
-				f, err := os.Create(*traceEvs)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				traceW = f
-			}
-			start := time.Now()
-			rows, err := harness.Telemetry(*parallel, benches, traceW)
-			elapsed := time.Since(start)
-			if err = requireResults(err, len(rows)); err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, harness.FormatTelemetry(rows))
-			if *traceEvs != "" {
-				fmt.Fprintf(stdout, "wrote %s (Chrome trace-event JSON; load at ui.perfetto.dev)\n", *traceEvs)
-			}
-			return save(path, len(rows), elapsed, telemetryJSON(rows, *parallel, elapsed))
-		}})
-	}
-
 	status := 0
 	for _, e := range exps {
 		if err := e.run(experimentPath(*jsonPath, e.name, len(exps))); err != nil {
 			status = fail(fmt.Errorf("%s: %w", e.name, err))
 		}
+	}
+	if tw := params.TraceEvents; tw != nil {
+		if err := tw.Close(); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "wrote %s (Chrome trace-event JSON; load at ui.perfetto.dev)\n", *traceEvs)
 	}
 	return status
 }

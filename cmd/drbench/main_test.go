@@ -112,14 +112,15 @@ func TestUnknownBenchmark(t *testing.T) {
 // column, and the fields bench/bench_test.go cross-checks (rows[].benchmark,
 // rows[].normalized and means.all of Figure 5; points[].name and
 // rows[].normalized of the cache sweep), next to the cachesweep suite's own
-// -diff report. Each table also enforces its
-// suite's coverage check, and the IBL suite's requires table displacement,
+// -diff report and the telemetry report with its span stream. Each table
+// also enforces its suite's coverage check, and the IBL suite's requires table displacement,
 // which among the benchmarks only gcc and perlbmk reach; Table 1's rows are
 // always crafty and vpr.
 func TestPublishedTables(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.json")
-	args := []string{"-table1", "-figure5", "-cachesweep", "-iblsweep", "-profile", "-diff", "cachesweep",
-		"-bench", "crafty,perlbmk", "-parallel", "0", "-json", path}
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	args := []string{"-table1", "-figure5", "-cachesweep", "-iblsweep", "-profile", "-telemetry", "-diff", "cachesweep",
+		"-bench", "crafty,perlbmk", "-parallel", "0", "-json", path, "-trace-events", trace}
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
@@ -131,6 +132,25 @@ func TestPublishedTables(t *testing.T) {
 	}
 	if n := strings.Count(stdout.String(), "diff cachesweep:"); n != 1 {
 		t.Errorf("the cachesweep report printed %d times, want once", n)
+	}
+	// The telemetry report keeps its own layout, and the span stream is
+	// one document.
+	var tf struct {
+		Schema    string
+		Anomalies uint64
+		Rows      []struct {
+			Benchmark  string
+			Histograms []struct{ Count uint64 }
+		}
+	}
+	if raw, err := os.ReadFile(path + ".telemetry.json"); err != nil || json.Unmarshal(raw, &tf) != nil {
+		t.Fatalf("telemetry artifact: %v", err)
+	}
+	if tf.Schema != "drbench/telemetry/v1" || tf.Anomalies != 0 || len(tf.Rows) != 2 || len(tf.Rows[0].Histograms) == 0 {
+		t.Errorf("telemetry artifact: %+v", tf)
+	}
+	if raw, err := os.ReadFile(trace); err != nil || !json.Valid(raw) {
+		t.Errorf("trace-event stream not one valid document (%v)", err)
 	}
 	for name, points := range map[string][]string{
 		"table1":     {"emulation", "bb-cache", "link-direct", "link-indirect", "traces"},

@@ -121,8 +121,7 @@ func (r *RIO) buildBB(ctx *Context, tag machine.Addr) *Fragment {
 	r.chaosPoint(chaos.SiteBlockBuild, tag)
 	spans := r.spansFor(tag, end)
 	statInc(&r.Stats.BlocksBuilt)
-	cost := r.Opts.Cost
-	buildTicks := cost.BuildBlock + machine.Ticks(count)*cost.BuildInstr
+	buildTicks := costBuildBlock + machine.Ticks(count)*costBuildInstr
 	r.hists.Observe(obs.MetricBlockBuildTicks, uint64(buildTicks))
 	r.M.Charge(buildTicks)
 
@@ -130,7 +129,7 @@ func (r *RIO) buildBB(ctx *Context, tag machine.Addr) *Fragment {
 	// mangling.
 	for _, cl := range r.Clients {
 		if h, ok := cl.(BasicBlockHook); ok {
-			r.M.Charge(machine.Ticks(count) * cost.ClientInstr)
+			r.M.Charge(machine.Ticks(count) * costClientInstr)
 			h.BasicBlock(ctx, tag, list)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // every named chaos site, fired mid-operation, must roll back to an
 // invariant-clean state and leave the application's architectural outcome
 // bit-identical to the native run (the oracle contract). They also prove the
-// negative: a deliberately broken rollback path (Options.BreakRollback) must
+// negative: a deliberately broken rollback path (core.MutateRollbackScrub) must
 // be caught by the post-rollback invariant audit, not slip through.
 
 // chaosWorkloadSrc builds a program that reaches every chaos site: many
@@ -186,10 +186,7 @@ func TestChaosStormLadderRoundTrip(t *testing.T) {
 
 	for seed := int64(1); seed <= 3; seed++ {
 		inj := chaos.NewInjector(seed, chaos.Storm(seed))
-		opts := core.Default()
-		opts.NativeWindow = 400
-		opts.ReattachCooldown = 8
-		m, r, got := runChaos(t, img, opts, inj, nil)
+		m, r, got := runChaos(t, img, core.Default(), inj, nil)
 		name := fmt.Sprintf("storm seed %d", seed)
 		if msg := oracle.Mismatch(native, got); msg != "" {
 			t.Errorf("%s: %s", name, msg)
@@ -219,7 +216,7 @@ func TestChaosStormLadderRoundTrip(t *testing.T) {
 }
 
 // TestBrokenRollbackCaughtByAudit is the mutation-style gate on the audit
-// itself: with Options.BreakRollback the emit rollback deliberately forgets
+// itself: with core.MutateRollbackScrub the emit rollback deliberately forgets
 // to scrub the IBL insert, and the post-rollback CheckCacheInvariants pass
 // MUST catch the stale slot and detach. The control run — the same injection
 // with the rollback intact — must recover cleanly. Both runs must still
@@ -264,7 +261,7 @@ fn:
 	// the audit — if this assertion ever passes with zero audit failures, the
 	// audit has lost its teeth.
 	mopts := core.Default()
-	mopts.BreakRollback = true
+	mopts.Mutation = core.MutateRollbackScrub
 	_, mr, mgot := runChaos(t, img, mopts, chaos.NewInjector(7, trig), nil)
 	if mr.Stats.RecoveryAuditFailures == 0 {
 		t.Error("mutant: broken rollback slipped past the invariant audit")
@@ -303,7 +300,7 @@ hits: .word 0
 	native := nativeOracle(t, img, sigs)
 
 	opts := core.Default()
-	opts.BreakRollback = true
+	opts.Mutation = core.MutateRollbackScrub
 	m, r, got := runChaos(t, img, opts,
 		chaos.NewInjector(3, []chaos.Trigger{{Site: chaos.SiteIBLInsert, Nth: 1, MaxFires: 1}}), sigs)
 	if r.Stats.Detaches != 1 {
@@ -365,7 +362,7 @@ hits: .word 0
 	native := nativeOracle(t, img, sigs)
 
 	opts := core.Default()
-	opts.BreakRollback = true
+	opts.Mutation = core.MutateRollbackScrub
 	m, r, got := runChaos(t, img, opts,
 		chaos.NewInjector(9, []chaos.Trigger{{Site: chaos.SiteIBLInsert, Nth: 1, MaxFires: 1}}), sigs)
 	if r.Stats.Detaches != 1 {

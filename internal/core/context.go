@@ -421,7 +421,7 @@ func (c *Context) iblSlot(i uint32) machine.Addr {
 // tableInsert writes a tag→cache-entry mapping into the indirect-branch
 // lookup hashtable in simulated memory. The default organization is
 // linear-probing open addressing, matching the probe walk the emitted lookup
-// routines perform; IBLDirectMapped (and SharedCache) keep the legacy
+// routines perform; IBLDirect (and SharedCache) keep the legacy
 // single-slot direct-mapped table.
 func (c *Context) tableInsert(tag, dest machine.Addr) {
 	if !c.rio.Opts.LinkIndirect {
@@ -439,7 +439,7 @@ func (c *Context) tableInsert(tag, dest machine.Addr) {
 		mem.Write32(slot+4, dest)
 		// The chaos point sits after the write on purpose: an insert that
 		// fires here has fully happened, so a rollback that forgets to
-		// scrub it (Options.BreakRollback) leaves a stale slot the
+		// scrub it (MutateRollbackScrub) leaves a stale slot the
 		// invariant audit must catch.
 		c.rio.chaosPoint(chaos.SiteIBLInsert, tag)
 		return
@@ -518,7 +518,7 @@ func (c *Context) iblMakeRoom(tag machine.Addr) {
 // was implicated in its failures, so it runs on the fixed-size policy until
 // it re-attaches.
 func (c *Context) canGrowIBL() bool {
-	return c.rio.Opts.IBLAdaptive && c.tableBits < maxIBLTableBits &&
+	return c.rio.Opts.IBL == IBLOpenAdaptive && c.tableBits < maxIBLTableBits &&
 		c.health < HealthFixedIBL
 }
 
@@ -569,7 +569,7 @@ func (c *Context) growIBLTable() {
 		}
 	}
 	r.writeIBLRoutines(c)
-	r.M.Charge(r.Opts.Cost.IBLResize)
+	r.M.Charge(costIBLResize)
 	statInc(&r.Stats.IBLResizes)
 	r.event(c.thread.ID, obs.Event{
 		Type: obs.EvIBLResize, Old: int(oldCap), New: int(c.tableMask + 1),
@@ -591,7 +591,7 @@ func (c *Context) undoRegister(f *Fragment, prev *Fragment) {
 	case cur != nil && cur.shadowedBy == f:
 		cur.shadowedBy = nil
 	}
-	if c.rio.Opts.BreakRollback {
+	if c.rio.Opts.Mutation == MutateRollbackScrub {
 		// Mutation-testing lever: deliberately forget the IBL scrub so the
 		// post-rollback invariant audit has a real defect to catch (a slot
 		// mapping the tag to the rolled-back fragment's entry).

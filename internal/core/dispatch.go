@@ -73,7 +73,7 @@ func (r *RIO) onCleanCall(t *machine.Thread) (machine.TrapAction, error) {
 
 	statInc(&r.Stats.CleanCalls)
 	prev := r.M.SetChargePhase(obs.PhaseContextSwitch)
-	r.M.Charge(r.Opts.Cost.CleanCall)
+	r.M.Charge(costCleanCall)
 	r.cleanCalls[id](ctx)
 	r.M.SetChargePhase(prev)
 
@@ -120,7 +120,7 @@ func (r *RIO) dispatch(ctx *Context, tag machine.Addr) (act machine.TrapAction, 
 	prevPhase := r.M.SetChargePhase(obs.PhaseContextSwitch)
 	defer r.M.SetChargePhase(prevPhase)
 	statInc(&r.Stats.ContextSwitches)
-	r.M.Charge(r.Opts.Cost.Dispatch)
+	r.M.Charge(costDispatch)
 	r.M.SetChargePhase(obs.PhaseDispatch)
 	fromIBL := ctx.fromIBLMiss
 	ctx.fromIBLMiss = false

@@ -97,7 +97,7 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 		// HealthFixedIBL has had optimization implicated in its failures
 		// and emits the conservative popfd form until it re-attaches.
 		elide := r.Opts.FlagsElision && ctx.health < HealthFixedIBL &&
-			(r.Opts.ForceFlagsDead || flagsDeadFrom(list.First(), nil))
+			(r.Opts.Mutation == MutateFlagsDead || flagsDeadFrom(list.First(), nil))
 		iblPrefix = buildIBLPrefix(ctx, tag, elide)
 		n, err := iblPrefix.EncodedLen()
 		if err != nil {
@@ -413,7 +413,7 @@ func (r *RIO) patchCTI(e *Exit, target machine.Addr) {
 // shared code cache (no cost with thread-private caches).
 func (r *RIO) chargeShared() {
 	if r.Opts.SharedCache {
-		r.M.Charge(r.Opts.Cost.Sync)
+		r.M.Charge(costSync)
 	}
 }
 

@@ -251,7 +251,7 @@ func (c *Context) evict(f *Fragment) {
 		spanStart := r.M.Now()
 		defer r.span(c.thread.ID, "evict", spanStart, map[string]any{"tag": uint32(f.Tag), "kind": f.Kind.String()})
 	}
-	r.M.Charge(r.Opts.Cost.Evict)
+	r.M.Charge(costEvict)
 	txn := r.txnMark()
 	r.txnPush(func() {
 		// Roll FORWARD: a victim that died before the failure must also

@@ -43,7 +43,7 @@ func (r *RIO) translateFault(t *machine.Thread, f *machine.Fault) (ok bool) {
 		spanStart := r.M.Now()
 		defer r.span(t.ID, "fault-xl8", spanStart, map[string]any{"tag": uint32(frag.Tag), "pc": uint32(pc)})
 	}
-	r.M.Charge(r.Opts.Cost.FaultTranslate)
+	r.M.Charge(costFaultTranslate)
 	app, scratch, found := frag.translate(pc)
 	if !found {
 		return false

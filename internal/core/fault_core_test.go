@@ -362,9 +362,6 @@ inner:
 
 	cl := &detachClient{}
 	opts := core.Default()
-	opts.NativeWindow = 300 // short windows so the cool-down fits the run
-	opts.ReattachCooldown = 6
-	opts.RecoveryBackoff = 2
 	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 4, MaxFires: 15}) // a burst (hits 4–18), then quiet
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil, cl)

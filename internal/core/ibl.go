@@ -49,7 +49,7 @@ import (
 //	popfd
 //	jmp   missTrap              ; context switch back to the dispatcher
 //
-// The legacy direct-mapped form (IBLDirectMapped, and SharedCache — see
+// The legacy direct-mapped form (IBLDirect, and SharedCache — see
 // RIO.usesIBLPrefix) probes one slot and restores eflags and ECX inside the
 // routine before jumping straight to the fragment body.
 //

@@ -122,7 +122,7 @@ func (c *Context) slotAt(i uint32) (tag, dest uint32) {
 
 func TestIBLOpenAddressProbeInsert(t *testing.T) {
 	r, ctx := newIBLTestRIO(t, func(o *Options) {
-		o.IBLTableBits, o.IBLAdaptive = 6, false
+		o.IBLTableBits, o.IBL = 6, IBLOpenFixed
 	})
 	if !r.usesIBLPrefix() {
 		t.Fatal("default config should select the open-address table")
@@ -158,8 +158,7 @@ func TestIBLOpenAddressProbeInsert(t *testing.T) {
 
 func TestIBLDirectMappedClobberCounted(t *testing.T) {
 	r, ctx := newIBLTestRIO(t, func(o *Options) {
-		o.IBLTableBits, o.IBLDirectMapped = 6, true
-		o.IBLAdaptive, o.FlagsElision = false, false
+		o.IBLTableBits, o.IBL, o.FlagsElision = 6, IBLDirect, false
 	})
 	a, b := machine.Addr(0x1000), machine.Addr(0x1040)
 	ctx.tableInsert(a, 0x111)
@@ -174,7 +173,7 @@ func TestIBLDirectMappedClobberCounted(t *testing.T) {
 
 func TestIBLBackwardShiftRemove(t *testing.T) {
 	_, ctx := newIBLTestRIO(t, func(o *Options) {
-		o.IBLTableBits, o.IBLAdaptive = 6, false
+		o.IBLTableBits, o.IBL = 6, IBLOpenFixed
 	})
 	a, b := machine.Addr(0x1000), machine.Addr(0x1040) // home 0
 	c := machine.Addr(0x1041)                          // home 1
@@ -222,7 +221,7 @@ func TestIBLBackwardShiftRemove(t *testing.T) {
 
 func TestIBLAdaptiveGrowth(t *testing.T) {
 	r, ctx := newIBLTestRIO(t, func(o *Options) {
-		o.IBLTableBits, o.IBLAdaptive = 6, true
+		o.IBLTableBits, o.IBL = 6, IBLOpenAdaptive
 	})
 	entriesBefore := ctx.iblEntry
 	tags := make([]machine.Addr, 0, 33)
@@ -278,7 +277,7 @@ func TestIBLAdaptiveGrowth(t *testing.T) {
 
 func TestIBLGrowthCappedAtMaxBits(t *testing.T) {
 	_, ctx := newIBLTestRIO(t, func(o *Options) {
-		o.IBLTableBits, o.IBLAdaptive = maxIBLTableBits, true
+		o.IBLTableBits, o.IBL = maxIBLTableBits, IBLOpenAdaptive
 	})
 	if ctx.canGrowIBL() {
 		t.Fatal("table at maxIBLTableBits must not grow further")
@@ -287,7 +286,7 @@ func TestIBLGrowthCappedAtMaxBits(t *testing.T) {
 
 func TestIBLLoadCeilingDisplacesWhenFixed(t *testing.T) {
 	r, ctx := newIBLTestRIO(t, func(o *Options) {
-		o.IBLTableBits, o.IBLAdaptive = 6, false
+		o.IBLTableBits, o.IBL = 6, IBLOpenFixed
 	})
 	ceiling := uint32(64 - 64/4)
 	for i := uint32(0); i < ceiling+4; i++ {

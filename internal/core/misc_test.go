@@ -114,11 +114,26 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestZeroOptionDefaultsFilled(t *testing.T) {
-	img := image.MustAssemble("t", "main:\n hlt\n")
+	img := image.MustAssemble("t", "main:\n mov ecx, 20\nloop:\n dec ecx\n jnz loop\n hlt\n")
 	m := machine.New(machine.PentiumIV())
-	r := core.New(m, img, core.Options{Cost: core.DefaultCost()}, nil)
-	if r.Opts.TraceThreshold <= 0 || r.Opts.MaxTraceBlocks <= 0 || r.Opts.IBLTableBits == 0 {
+	r := core.New(m, img, core.Options{}, nil)
+	if r.Opts.TraceThreshold <= 0 || r.Opts.IBLTableBits == 0 {
 		t.Errorf("defaults not filled: %+v", r.Opts)
+	}
+	if err := r.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	native := machine.New(machine.PentiumIV())
+	img.Boot(native)
+	if err := native.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	// The modeled costs are constants, not options: a zero Options still
+	// charges every context switch into the dispatcher.
+	switches := r.Stats.ContextSwitches
+	if switches == 0 || m.Ticks < native.Ticks+machine.Ticks(switches)*core.DispatchCost {
+		t.Errorf("%d ticks for %d context switches (native %d): dispatch not charged %d each",
+			m.Ticks, switches, native.Ticks, core.DispatchCost)
 	}
 }
 

@@ -32,7 +32,48 @@ const (
 	ModeEmulate
 )
 
-// Options configures the runtime.
+// IBLOrg selects the organization of the indirect-branch lookup hashtable.
+type IBLOrg uint8
+
+const (
+	// IBLOpenFixed is a linear-probing open-address table of fixed size
+	// 2^IBLTableBits, probed by the emitted lookup routines.
+	IBLOpenFixed IBLOrg = iota
+	// IBLOpenAdaptive is the open-address table growing itself: when live
+	// entries exceed half the capacity, the table doubles, every entry is
+	// rehashed and the lookup routines are re-emitted with the new mask
+	// (see DESIGN.md).
+	IBLOpenAdaptive
+	// IBLDirect is the legacy single-probe direct-mapped table (last writer
+	// wins on a collision, so a collided target misses to the dispatcher
+	// forever), kept as the ablation baseline for the IBL sweep.
+	IBLDirect
+)
+
+// Mutation is a deliberately injected runtime bug: the mutation-testing
+// levers that prove the transparency checks have teeth. The zero value is
+// the correct runtime. Never set one outside tests.
+type Mutation uint8
+
+const (
+	// MutateFlagsDead overrides the flagsDeadFrom liveness analysis to
+	// always report the arithmetic flags dead, making flag-save elision
+	// unsound: IBL target prefixes and trace inline checks discard the
+	// application eflags even when the target reads them. It proves the
+	// differential fuzzer's native-vs-runtime oracle detects real
+	// transparency violations.
+	MutateFlagsDead Mutation = iota + 1
+	// MutateRollbackScrub skips the IBL scrub step of emit's registration
+	// rollback, leaving a stale hashtable entry behind after an injected
+	// emit/registration failure. It proves CheckCacheInvariants catches a
+	// broken rollback path: the recovery audit must fail and the thread
+	// must detach.
+	MutateRollbackScrub
+)
+
+// Options configures the runtime: the paper's real choices (execution mode,
+// linking, traces, cache and IBL organization) plus the observability and
+// testing switches. Everything else is fixed policy — the constants below.
 type Options struct {
 	Mode Mode
 
@@ -45,40 +86,29 @@ type Options struct {
 	// indirect branch exits to the dispatcher.
 	LinkIndirect bool
 
-	// EnableTraces turns on hot-path trace building ("+ Traces").
+	// EnableTraces turns on hot-path trace building ("+ Traces"); a trace
+	// absorbs at most maxTraceBlocks basic blocks.
 	EnableTraces bool
 
 	// TraceThreshold is the trace-head execution count that triggers
 	// trace creation (Dynamo used 50).
 	TraceThreshold int
 
-	// MaxTraceBlocks caps how many basic blocks one trace may absorb.
-	MaxTraceBlocks int
-
 	// SharedCache places all threads in one shared code cache instead of
 	// thread-private caches (an ablation of the paper's Section 2 design
-	// choice). Fragment creation then pays SyncTicks for the
+	// choice). Fragment creation then pays costSync for the
 	// synchronization the paper argues thread-private caches avoid.
 	SharedCache bool
 
+	// IBL selects the lookup hashtable's organization. SharedCache always
+	// uses the direct-mapped table.
+	IBL IBLOrg
+
 	// IBLTableBits is the log2 size of the indirect-branch lookup
 	// hashtable (default 8: 256 entries, hashing the low bits of the
-	// target address). Clamped to 11 (2048 entries), the TLS reservation
-	// for the table.
+	// target address) — the starting size of an adaptive table. Clamped to
+	// 11 (2048 entries), the TLS reservation for the table.
 	IBLTableBits uint
-
-	// IBLAdaptive lets the indirect-branch lookup hashtable grow itself:
-	// when live entries exceed half the capacity, the table doubles, every
-	// entry is rehashed and the lookup routines are re-emitted with the new
-	// mask (see DESIGN.md). Ignored under SharedCache or IBLDirectMapped,
-	// which keep the legacy fixed direct-mapped table.
-	IBLAdaptive bool
-
-	// IBLDirectMapped reverts the lookup hashtable to the legacy
-	// single-probe direct-mapped organization (last writer wins on a
-	// collision, so a collided target misses to the dispatcher forever).
-	// Kept as the ablation baseline for the IBL sweep.
-	IBLDirectMapped bool
 
 	// FlagsElision enables eflags-liveness flag-save elision (Section 4.4):
 	// when the target of an indirect branch provably rewrites all six
@@ -113,40 +143,9 @@ type Options struct {
 	// client-initiated paths are never injected.
 	Chaos *chaos.Injector
 
-	// BreakRollback deliberately skips the IBL scrub step of emit's
-	// registration rollback, leaving a stale hashtable entry behind after an
-	// injected emit/registration failure. It is the mutation-testing lever
-	// proving CheckCacheInvariants catches a broken rollback path (the
-	// recovery audit must fail and the thread must detach). Never set it
-	// outside tests.
-	BreakRollback bool
-
-	// Degradation-ladder tuning (all have defaults applied by New):
-	//
-	// NativeWindow is the instruction budget of one native cool-down window
-	// — the stretch a recovering thread runs natively before returning to
-	// the dispatcher. RecoveryRetryBudget is how many consecutive recovery
-	// failures a health level tolerates before the thread steps down a
-	// level. RecoveryBackoff is the base per-tag retry delay in dispatch
-	// entries, doubled per failure of that tag. QuarantineThreshold is the
-	// per-tag failure count that quarantines the tag permanently (it runs
-	// natively from then on). ReattachCooldown is the number of clean
-	// dispatch entries after which a degraded thread steps back up one
-	// level (interpret-only back to full is the re-attach).
-	NativeWindow        uint64
-	RecoveryRetryBudget int
-	RecoveryBackoff     uint64
-	QuarantineThreshold int
-	ReattachCooldown    uint64
-
-	// ForceFlagsDead overrides the flagsDeadFrom liveness analysis to
-	// always report the arithmetic flags dead, making flag-save elision
-	// unsound: IBL target prefixes and trace inline checks discard the
-	// application eflags even when the target reads them. It is an
-	// intentionally injected mangler bug — the differential fuzzer's
-	// mutation-testing lever, proving the native-vs-runtime oracle detects
-	// real transparency violations. Never set it outside tests.
-	ForceFlagsDead bool
+	// Mutation arms one deliberately injected bug (zero: none). Never set
+	// it outside tests.
+	Mutation Mutation
 
 	// Profile turns on the observability layer: per-tick phase accounting
 	// (every simulated tick attributed to a named execution phase, the
@@ -168,118 +167,67 @@ type Options struct {
 	// dispatch/block-build/trace-build/evict/fault-translation spans with
 	// tick timestamps, instant events for the discrete ring events, one
 	// track per simulated thread plus a counter track for live cache
-	// bytes. The caller owns the writer and closes it; several runtimes
-	// (one per benchmark) can share one Perfetto file, distinguished by
-	// process id. TraceEventPID and TraceEventProcess name this runtime's
-	// process track (pid defaults to 1). Span export reads the clock
-	// without charging it, so it never perturbs simulated behaviour.
-	TraceEvents       *obs.TraceWriter
-	TraceEventPID     int
-	TraceEventProcess string
+	// bytes. The caller owns the writer and closes it; several runtimes can
+	// share one file, each on its own process track (a fresh pid from the
+	// writer, named after the image). Span export reads the clock without
+	// charging it, so it never perturbs simulated behaviour.
+	TraceEvents *obs.TraceWriter
 
-	// Watchdog turns on the pathology monitor (see obs.Watchdog): the
-	// dispatcher feeds it counter snapshots on a tick budget and it fires
-	// typed detections — eviction thrash, IBL resize storms, quarantine
-	// flapping, dispatch dominance — surfaced as EvAnomaly ring events,
-	// the WatchdogHook client callback and Stats.Anomalies. Detection
-	// never charges simulated time.
-	Watchdog       bool
-	WatchdogConfig obs.WatchdogConfig
-
-	Cost CostModel
+	// Watchdog turns on the pathology monitor (see obs.Watchdog) with its
+	// default thresholds: the dispatcher feeds it counter snapshots on a
+	// tick budget and it fires typed detections — eviction thrash, IBL
+	// resize storms, quarantine flapping, dispatch dominance — surfaced as
+	// EvAnomaly ring events, the WatchdogHook client callback and
+	// Stats.Anomalies. Detection never charges simulated time.
+	Watchdog bool
 }
 
-// CostModel holds the modeled overhead constants: runtime work that really
-// happens in Go (hashtable lookups in the dispatcher, decode/encode during
-// fragment construction, client analysis) but must cost simulated time. All
-// cache-resident work — stubs, the indirect-branch lookup, inline checks,
-// profiling calls — is real emitted code whose cost arises from execution
-// and is NOT modeled here. Values are in ticks (quarter cycles).
-type CostModel struct {
-	// EmulateDispatch is charged per instruction in ModeEmulate: the
-	// fetch/decode/dispatch work of a pure interpreter (the paper's
-	// "several hundred times slowdown").
-	EmulateDispatch machine.Ticks
+// maxTraceBlocks caps how many basic blocks one trace may absorb.
+const maxTraceBlocks = 32
 
-	// Dispatch is charged per context switch into the dispatcher: saving
-	// the rest of the context, the fragment-lookup hashtable access and
-	// the return to the cache.
-	Dispatch machine.Ticks
+// The degradation ladder's time constants (recover.go), sized so a short
+// benchmark rides a chaos storm down the ladder and back up to full service
+// before it finishes. The ladder only engages after an internal failure.
+const (
+	nativeWindowBudget  uint64 = 500 // instructions in one native cool-down window before returning to the dispatcher
+	recoveryRetryBudget        = 2   // consecutive recovery failures a health level tolerates before stepping down
+	recoveryBackoff     uint64 = 2   // base per-tag retry delay in dispatch entries, doubled per failure of the tag
+	quarantineThreshold        = 3   // per-tag failures that bar the tag from the cache for good
+	reattachCooldown    uint64 = 8   // clean dispatch entries before a degraded thread steps back up one level
+)
 
-	// BuildBlock/BuildInstr are charged when constructing a basic block
-	// fragment (per block and per instruction): decoding, mangling,
-	// emission, bookkeeping.
-	BuildBlock machine.Ticks
-	BuildInstr machine.Ticks
-
-	// TraceBlock/TraceInstr are the same for trace construction, which
-	// fully decodes to Level 3 and re-encodes.
-	TraceBlock machine.Ticks
-	TraceInstr machine.Ticks
-
-	// ClientInstr is charged per instruction each time a client hook
-	// inspects a block or trace.
-	ClientInstr machine.Ticks
-
-	// CleanCall is charged per clean call: spilling and restoring enough
-	// context to run client code safely.
-	CleanCall machine.Ticks
-
-	// ReplaceFragment is charged per adaptive fragment replacement, on
-	// top of the per-instruction trace construction costs.
-	ReplaceFragment machine.Ticks
-
-	// Evict is charged per fragment evicted under capacity pressure: the
-	// unlinking, lookup-table scrubbing and allocator bookkeeping of
-	// Section 6's FIFO replacement.
-	Evict machine.Ticks
-
-	// IBLResize is charged per adaptive doubling of the indirect-branch
-	// lookup hashtable: rehashing every entry and re-emitting the three
-	// lookup routines with the new mask.
-	IBLResize machine.Ticks
-
-	// FaultTranslate is charged per fault whose cache context is
-	// translated back to native application form (the state translation
-	// of Section 3.3.4).
-	FaultTranslate machine.Ticks
-
-	// Sync is charged per cache *change* (fragment creation, link,
-	// unlink, replacement) in the SharedCache ablation: with a shared
-	// cache every change must be synchronized with all running threads
-	// (the paper's Section 2 reports suspending/coordinating threads is
-	// what makes shared caches lose to thread-private ones).
-	Sync machine.Ticks
-}
-
-// DefaultCost returns the calibrated cost constants. They were tuned so the
-// Table 1 ladder lands in the paper's bands (see EXPERIMENTS.md); they are
-// deliberately coarse — the paper's own analysis attributes the residual
-// overheads to indirect branches and eflags handling, which this system
-// reproduces with real instructions.
-func DefaultCost() CostModel {
-	// Construction costs are scaled to the synthetic workloads' runtime:
-	// the simulated programs run ~10^6 instructions where the real SPEC
-	// binaries ran ~10^11, so per-block costs here are scaled down to
-	// keep the ratio of construction time to total runtime in the same
-	// regime the paper reports (negligible for loopy code, significant
-	// for the low-reuse gcc/perlbmk profile). See EXPERIMENTS.md.
-	return CostModel{
-		EmulateDispatch: 3600, // ~900 cycles per interpreted instruction
-		Dispatch:        800,  // ~200 cycles per context switch
-		BuildBlock:      1200,
-		BuildInstr:      80,
-		TraceBlock:      2400,
-		TraceInstr:      160,
-		ClientInstr:     100,
-		CleanCall:       160, // ~40 cycles to save/restore around a call
-		ReplaceFragment: 8000,
-		Evict:           200,   // ~50 cycles to unlink and scrub one victim
-		IBLResize:       2000,  // ~500 cycles to rehash and re-emit the routines
-		FaultTranslate:  400,   // ~100 cycles to walk the xl8 table and rebuild state
-		Sync:            20000, // ~5000 cycles to coordinate all threads
-	}
-}
+// The modeled overhead constants, in ticks (quarter cycles): runtime work
+// that really happens in Go (hashtable lookups in the dispatcher,
+// decode/encode during fragment construction, client analysis) but must
+// cost simulated time. All cache-resident work — stubs, the indirect-branch
+// lookup, inline checks, profiling calls — is real emitted code whose cost
+// arises from execution and is NOT modeled here.
+//
+// They were tuned so the Table 1 ladder lands in the paper's bands (see
+// EXPERIMENTS.md); they are deliberately coarse — the paper's own analysis
+// attributes the residual overheads to indirect branches and eflags
+// handling, which this system reproduces with real instructions.
+// Construction costs are scaled to the synthetic workloads' runtime: the
+// simulated programs run ~10^6 instructions where the real SPEC binaries ran
+// ~10^11, so per-block costs are scaled down to keep the ratio of
+// construction time to total runtime in the regime the paper reports
+// (negligible for loopy code, significant for the low-reuse gcc/perlbmk
+// profile).
+const (
+	costEmulateDispatch machine.Ticks = 3600  // per ModeEmulate instruction: a pure interpreter's fetch/decode/dispatch, ~900 cycles (the paper's "several hundred times slowdown")
+	costDispatch        machine.Ticks = 800   // per context switch into the dispatcher: the rest of the context save, the fragment-lookup hashtable, the return; ~200 cycles
+	costBuildBlock      machine.Ticks = 1200  // per basic block built: decoding, mangling, emission, bookkeeping...
+	costBuildInstr      machine.Ticks = 80    // ...plus per instruction
+	costTraceBlock      machine.Ticks = 2400  // per block of a trace built (full Level 3 decode and re-encode)...
+	costTraceInstr      machine.Ticks = 160   // ...plus per instruction
+	costClientInstr     machine.Ticks = 100   // per instruction each time a client hook inspects a block or trace
+	costCleanCall       machine.Ticks = 160   // per clean call: saving and restoring enough context to run client code, ~40 cycles
+	costReplaceFragment machine.Ticks = 8000  // per adaptive fragment replacement, on top of the trace construction costs
+	costEvict           machine.Ticks = 200   // per FIFO eviction victim (Section 6): unlinking, lookup-table scrubbing, allocator bookkeeping; ~50 cycles
+	costIBLResize       machine.Ticks = 2000  // per IBL table doubling: rehashing every entry and re-emitting the lookup routines; ~500 cycles
+	costFaultTranslate  machine.Ticks = 400   // per fault translated back to native form (Section 3.3.4): walking the xl8 table; ~100 cycles
+	costSync            machine.Ticks = 20000 // per cache change under SharedCache: coordinating all threads, what makes shared caches lose (Section 2); ~5000 cycles
+)
 
 // Default returns the full-featured configuration (the paper's "base
 // DynamoRIO"): caching, direct and indirect linking, traces, the adaptive
@@ -291,11 +239,9 @@ func Default() Options {
 		LinkIndirect:   true,
 		EnableTraces:   true,
 		TraceThreshold: 50,
-		MaxTraceBlocks: 32,
 		IBLTableBits:   8,
-		IBLAdaptive:    true,
+		IBL:            IBLOpenAdaptive,
 		FlagsElision:   true,
-		Cost:           DefaultCost(),
 	}
 }
 

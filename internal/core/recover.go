@@ -27,7 +27,7 @@ import (
 //	HealthInterpret no cache entry at all: bounded native windows
 //
 // Repeated failures walk a thread down the ladder (and quarantine the tags
-// involved); a clean cool-down — ReattachCooldown dispatch entries without a
+// involved); a clean cool-down — reattachCooldown dispatch entries without a
 // failure — walks it back up, re-attaching it to full service. Only a failed
 // audit still detaches: rollback that cannot restore the invariants means
 // the structures cannot be trusted.
@@ -192,7 +192,7 @@ func (r *RIO) noteFailure(ctx *Context, tag machine.Addr, cause string) {
 		ctx.quar[tag] = q
 	}
 	q.failures++
-	if !q.quarantined && q.failures >= r.Opts.QuarantineThreshold {
+	if !q.quarantined && q.failures >= quarantineThreshold {
 		q.quarantined = true
 		statInc(&r.Stats.Quarantined)
 		r.event(ctx.thread.ID, obs.Event{Type: obs.EvQuarantine, Tag: uint32(tag), Note: cause})
@@ -201,7 +201,7 @@ func (r *RIO) noteFailure(ctx *Context, tag machine.Addr, cause string) {
 		if shift > 16 {
 			shift = 16
 		}
-		q.until = ctx.dispatchCount + r.Opts.RecoveryBackoff<<shift
+		q.until = ctx.dispatchCount + recoveryBackoff<<shift
 	}
 	// Every recovered failure bars the tag (backoff or permanent
 	// quarantine); the watchdog counts a flap cycle when the bar recurs
@@ -213,7 +213,7 @@ func (r *RIO) noteFailure(ctx *Context, tag machine.Addr, cause string) {
 
 	ctx.failStreak++
 	ctx.lastFailEntry = ctx.dispatchCount
-	if ctx.failStreak >= r.Opts.RecoveryRetryBudget && ctx.health < HealthInterpret {
+	if ctx.failStreak >= recoveryRetryBudget && ctx.health < HealthInterpret {
 		old := ctx.health
 		ctx.health++
 		ctx.failStreak = 0
@@ -226,14 +226,14 @@ func (r *RIO) noteFailure(ctx *Context, tag machine.Addr, cause string) {
 }
 
 // maybeStepUp walks the thread one rung back up the ladder after a clean
-// cool-down (ReattachCooldown dispatch entries without a failure). Reaching
+// cool-down (reattachCooldown dispatch entries without a failure). Reaching
 // HealthFull is a re-attach: the thread is back in full service, its
 // backed-off (non-quarantined) tags are forgiven, and clients are told.
 func (r *RIO) maybeStepUp(ctx *Context, tag machine.Addr) {
 	if ctx.health == HealthFull {
 		return
 	}
-	if ctx.dispatchCount-ctx.lastFailEntry < r.Opts.ReattachCooldown {
+	if ctx.dispatchCount-ctx.lastFailEntry < reattachCooldown {
 		return
 	}
 	old := ctx.health
@@ -279,7 +279,7 @@ func (c *Context) tagBlocked(tag machine.Addr) bool {
 func (c *Context) Health() HealthLevel { return c.health }
 
 // nativeWindow runs the thread natively (no cache) for a bounded window of
-// Options.NativeWindow instructions, after which the watch hook hands it
+// nativeWindowBudget instructions, after which the watch hook hands it
 // back to the dispatcher. The application context is already native at
 // every dispatch entry, so the hand-off is a plain EIP assignment.
 func (r *RIO) nativeWindow(ctx *Context, tag machine.Addr) (machine.TrapAction, error) {
@@ -291,7 +291,7 @@ func (r *RIO) nativeWindow(ctx *Context, tag machine.Addr) (machine.TrapAction, 
 	t.CPU.EIP = tag
 	ctx.windowStartInstret = t.Instret
 	ctx.windowActive = true
-	t.ArmWatch(r.Opts.NativeWindow)
+	t.ArmWatch(nativeWindowBudget)
 	return machine.TrapContinue, nil
 }
 

@@ -80,7 +80,7 @@ func (c *Context) DecodeFragment(tag machine.Addr) *instr.List {
 		}
 		fx.i.SetTargetInstr(ti)
 	}
-	r.M.Charge(machine.Ticks(count) * r.Opts.Cost.TraceInstr)
+	r.M.Charge(machine.Ticks(count) * costTraceInstr)
 	return list
 }
 
@@ -102,7 +102,7 @@ func (c *Context) ReplaceFragment(tag machine.Addr, il *instr.List) bool {
 	prev := r.M.SetChargePhase(obs.PhaseTraceBuild)
 	defer r.M.SetChargePhase(prev)
 	statInc(&r.Stats.Replacements)
-	r.M.Charge(r.Opts.Cost.ReplaceFragment)
+	r.M.Charge(costReplaceFragment)
 
 	// The calling thread may be executing inside the old fragment; cache
 	// memory must not be reused while the new version is emitted.

@@ -164,29 +164,11 @@ func New(m *machine.Machine, img *image.Image, opts Options, out io.Writer, clie
 	if opts.TraceThreshold <= 0 {
 		opts.TraceThreshold = 50
 	}
-	if opts.MaxTraceBlocks <= 0 {
-		opts.MaxTraceBlocks = 32
-	}
 	if opts.IBLTableBits == 0 {
 		opts.IBLTableBits = 8
 	}
 	if opts.IBLTableBits > maxIBLTableBits {
 		opts.IBLTableBits = maxIBLTableBits
-	}
-	if opts.NativeWindow == 0 {
-		opts.NativeWindow = 2000
-	}
-	if opts.RecoveryRetryBudget <= 0 {
-		opts.RecoveryRetryBudget = 3
-	}
-	if opts.RecoveryBackoff == 0 {
-		opts.RecoveryBackoff = 4
-	}
-	if opts.QuarantineThreshold <= 0 {
-		opts.QuarantineThreshold = 3
-	}
-	if opts.ReattachCooldown == 0 {
-		opts.ReattachCooldown = 16
 	}
 	r := &RIO{
 		M:        m,
@@ -204,7 +186,7 @@ func New(m *machine.Machine, img *image.Image, opts Options, out io.Writer, clie
 	}
 	r.initSpans()
 	if opts.Watchdog {
-		r.wd = obs.NewWatchdog(opts.WatchdogConfig)
+		r.wd = obs.NewWatchdog(obs.WatchdogConfig{})
 		r.wdNext = r.wd.Interval()
 	}
 	if opts.Profile {
@@ -323,12 +305,12 @@ func (r *RIO) setupThread(t *machine.Thread, startTag machine.Addr) {
 // lookup routine's hit path relies on the prefix to restore ECX and the
 // flags). False under SharedCache — a prefix restores ECX from its own
 // emitter's TLS spill slot, which is the wrong slot when the exit that
-// spilled was emitted by another thread — and under the IBLDirectMapped
+// spilled was emitted by another thread — and under the IBLDirect
 // ablation, both of which keep the legacy routine shape that restores the
 // application context inside the routine itself.
 func (r *RIO) usesIBLPrefix() bool {
 	return r.Opts.Mode == ModeCache && r.Opts.LinkIndirect &&
-		!r.Opts.SharedCache && !r.Opts.IBLDirectMapped
+		!r.Opts.SharedCache && r.Opts.IBL != IBLDirect
 }
 
 // ContextOf returns the runtime context of a machine thread, or nil if the
@@ -352,7 +334,7 @@ func (r *RIO) ctxOf(t *machine.Thread) *Context {
 // fires thread-exit and exit events.
 func (r *RIO) Run(limit uint64) error {
 	if r.Opts.Mode == ModeEmulate {
-		r.M.PerInstrOverhead = r.Opts.Cost.EmulateDispatch
+		r.M.PerInstrOverhead = costEmulateDispatch
 	}
 	err := r.M.Run(limit)
 	r.fireExitEvents()

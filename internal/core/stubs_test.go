@@ -9,6 +9,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/instr"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // stubClient splits a block and routes one path through a custom exit stub
@@ -212,15 +213,16 @@ loop:
 }
 
 func TestMaxTraceBlocksCap(t *testing.T) {
-	// A long chain of blocks that would form an enormous trace: the cap
-	// must bound it and execution stay correct.
+	// One loop body of 40 blocks, longer than the 32-block trace cap: the
+	// trace starting at the loop head must stop at exactly the cap, and
+	// execution stay correct.
 	src := `
 main:
     mov ecx, 400
     xor eax, eax
 loop:
 `
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 40; i++ {
 		src += "    add eax, 1\n    test eax, 1\n    jnp skip" +
 			itoa(i) + "\n    add eax, 0\nskip" + itoa(i) + ":\n"
 	}
@@ -236,17 +238,18 @@ loop:
 `
 	img := image.MustAssemble("t", src)
 	m := machine.New(machine.PentiumIV())
-	opts := core.Default()
-	opts.MaxTraceBlocks = 4
-	r := core.New(m, img, opts, nil)
+	r := core.New(m, img, core.Default(), nil)
 	if err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats.TracesBuilt == 0 {
 		t.Error("no traces built")
 	}
-	if got := m.OutputString(); got != "12000" {
-		t.Errorf("output = %q, want 12000", got)
+	if got := m.OutputString(); got != "16000" {
+		t.Errorf("output = %q, want 16000", got)
+	}
+	if mx := r.Histograms()[obs.MetricTraceBlocks].Quantile(1.0); mx != 32 {
+		t.Errorf("longest trace absorbed %d blocks, want the cap of 32", mx)
 	}
 }
 

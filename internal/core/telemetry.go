@@ -14,21 +14,13 @@ import (
 
 // initSpans wires up the trace-event exporter from Options.TraceEvents,
 // which the caller owns and closes — several runtimes can append to one
-// Perfetto file under distinct pids.
+// Perfetto file, each on the process track the writer hands it, named after
+// the image.
 func (r *RIO) initSpans() {
 	r.spans = r.Opts.TraceEvents
-	if r.spans == nil {
-		return
+	if r.spans != nil {
+		r.spanPid = r.spans.NewProcess(r.Img.Name)
 	}
-	r.spanPid = r.Opts.TraceEventPID
-	if r.spanPid == 0 {
-		r.spanPid = 1
-	}
-	name := r.Opts.TraceEventProcess
-	if name == "" {
-		name = "rio"
-	}
-	r.spans.Process(r.spanPid, name)
 }
 
 // spanThreadMeta names the thread's track.
@@ -166,5 +158,5 @@ func (r *RIO) fireAnomalies(ctx *Context, anomalies []obs.Anomaly) {
 }
 
 // Watchdog returns the pathology watchdog, or nil when Options.Watchdog is
-// off. Read-only access for harnesses (fired counts, effective config).
+// off. Read-only access for harnesses (detections, effective config).
 func (r *RIO) Watchdog() *obs.Watchdog { return r.wd }

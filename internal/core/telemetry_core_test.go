@@ -62,7 +62,6 @@ func TestTraceEventExportValidJSON(t *testing.T) {
 	opts := telemetryOpts()
 	tw := obs.NewTraceWriter(&buf)
 	opts.TraceEvents = tw
-	opts.TraceEventProcess = "bench:crafty"
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), opts, nil)
 	if err := r.Run(telemetryRunLimit); err != nil {
@@ -91,6 +90,9 @@ func TestTraceEventExportValidJSON(t *testing.T) {
 	for _, ev := range tr.TraceEvents {
 		byName[ev.Name]++
 		byPh[ev.Ph]++
+		if ev.Name == "process_name" && (ev.Pid != 1 || ev.Args["name"] != "crafty") {
+			t.Errorf("process track pid %d named %v, want pid 1 named after the image", ev.Pid, ev.Args["name"])
+		}
 		if ev.Ph == "X" && (ev.Ts == nil || ev.Dur == nil) {
 			t.Errorf("complete event %q missing ts/dur", ev.Name)
 		}
@@ -172,7 +174,6 @@ inner:
     jnz outer
 `+exitSnippet)
 	opts := telemetryOpts()
-	opts.NativeWindow = 250
 	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 5})
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, img, opts, nil)
@@ -183,8 +184,8 @@ inner:
 	if got, want := h[obs.MetricNativeWindowLen].Count(), r.Stats.NativeWindows; got != want {
 		t.Errorf("native-window samples = %d, windows = %d", got, want)
 	}
-	if mx := h[obs.MetricNativeWindowLen].Quantile(1.0); mx > opts.NativeWindow {
-		t.Errorf("window length %d exceeds the %d-instruction budget", mx, opts.NativeWindow)
+	if mx := h[obs.MetricNativeWindowLen].Quantile(1.0); mx > core.NativeWindowBudget {
+		t.Errorf("window length %d exceeds the %d-instruction budget", mx, core.NativeWindowBudget)
 	}
 }
 
@@ -235,7 +236,6 @@ func TestWatchdogDetectsEvictionThrash(t *testing.T) {
 	cl := &anomalyClient{}
 	opts := telemetryOpts()
 	opts.BBCacheSize, opts.TraceCacheSize = 256, 256
-	opts.WatchdogConfig = obs.WatchdogConfig{Interval: 100_000, ThrashMinEvictions: 32}
 	m := machine.New(machine.PentiumIV())
 	r := core.New(m, b.Image(), opts, nil, cl)
 	// Thrash makes the run slow by design; stopping at the limit is fine —
@@ -279,10 +279,6 @@ inner:
 `+exitSnippet)
 	cl := &anomalyClient{}
 	opts := telemetryOpts()
-	opts.NativeWindow = 300
-	opts.ReattachCooldown = 6
-	opts.RecoveryBackoff = 2
-	opts.QuarantineThreshold = 100 // keep tags on the backoff path: flap, not permanent bar
 	// A burst of nine failures (dispatch hits 4–12) every 60 dispatches,
 	// quiet between.
 	var bursts []chaos.Trigger

@@ -29,14 +29,14 @@ func (r *RIO) traceSelectionStep(ctx *Context, tag machine.Addr) bool {
 	case EndTraceEnd:
 		end = true
 	case EndTraceContinue:
-		end = len(ctx.selTags) >= r.Opts.MaxTraceBlocks
+		end = len(ctx.selTags) >= maxTraceBlocks
 	default:
 		last := ctx.selTags[len(ctx.selTags)-1]
 		existing := ctx.lookup(tag)
 		end = tag <= last || // backward transition (loop closing)
 			(existing != nil && existing.Kind == KindTrace) ||
 			ctx.isHead[tag] ||
-			len(ctx.selTags) >= r.Opts.MaxTraceBlocks
+			len(ctx.selTags) >= maxTraceBlocks
 	}
 	if !end {
 		ctx.selTags = append(ctx.selTags, tag)
@@ -64,7 +64,6 @@ func (r *RIO) buildTrace(ctx *Context) {
 	tags := ctx.selTags
 	r.hists.Observe(obs.MetricTraceBlocks, uint64(len(tags)))
 	trace := instr.NewList()
-	cost := r.Opts.Cost
 	statInc(&r.Stats.TracesBuilt)
 	ctx.inlineRestores = ctx.inlineRestores[:0]
 
@@ -84,7 +83,7 @@ func (r *RIO) buildTrace(ctx *Context) {
 		// survives trace creation.
 		for _, cl := range r.Clients {
 			if h, ok := cl.(BasicBlockHook); ok {
-				r.M.Charge(machine.Ticks(count) * cost.ClientInstr)
+				r.M.Charge(machine.Ticks(count) * costClientInstr)
 				h.BasicBlock(ctx, tag, block)
 			}
 		}
@@ -103,12 +102,12 @@ func (r *RIO) buildTrace(ctx *Context) {
 		}
 		trace.AppendList(block)
 	}
-	r.M.Charge(cost.TraceBlock*machine.Ticks(len(tags)) + cost.TraceInstr*machine.Ticks(total))
+	r.M.Charge(costTraceBlock*machine.Ticks(len(tags)) + costTraceInstr*machine.Ticks(total))
 
 	headTag := tags[0]
 	for _, cl := range r.Clients {
 		if h, ok := cl.(TraceHook); ok {
-			r.M.Charge(machine.Ticks(total) * cost.ClientInstr)
+			r.M.Charge(machine.Ticks(total) * costClientInstr)
 			h.Trace(ctx, headTag, trace)
 		}
 	}
@@ -276,7 +275,7 @@ func (r *RIO) elideInlineFlagRestores(ctx *Context, trace *instr.List) {
 		// The walk starts after the popfd and skips the known-safe ECX
 		// reload (its TLS read would otherwise end the analysis as a
 		// potential fault site).
-		if !r.Opts.ForceFlagsDead && !flagsDeadFrom(p.popfd.Next(), p.mov) {
+		if r.Opts.Mutation != MutateFlagsDead && !flagsDeadFrom(p.popfd.Next(), p.mov) {
 			continue
 		}
 		pc, scr := p.popfd.Xl8()

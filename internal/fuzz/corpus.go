@@ -21,13 +21,12 @@ type Entry struct {
 	Note     string `json:"note,omitempty"`
 	Config   string `json:"config"`   // matrix column that diverged
 	Mismatch string `json:"mismatch"` // oracle description at capture time
-	// ForceFlagsDead marks an entry that diverges only under the
-	// intentionally injected elision bug (core.Options.ForceFlagsDead):
-	// replay asserts it matches with stock options and mismatches with the
-	// lever on — the regression test that the oracle still catches the
-	// mutation.
-	ForceFlagsDead bool `json:"force_flags_dead,omitempty"`
-	Prog           Prog `json:"prog"`
+	// FlagsDeadMutant marks an entry that diverges only under the
+	// intentionally injected elision bug (core.MutateFlagsDead): replay
+	// asserts it matches with stock options and mismatches with the lever
+	// on — the regression test that the oracle still catches the mutation.
+	FlagsDeadMutant bool `json:"force_flags_dead,omitempty"`
+	Prog            Prog `json:"prog"`
 }
 
 // WriteEntry stores e as <dir>/<name>.json, creating dir if needed.

@@ -18,7 +18,7 @@ func forcedElision() []oracle.Config {
 		opts := configs[i].Opts
 		configs[i].Opts = func() core.Options {
 			o := opts()
-			o.ForceFlagsDead = true
+			o.Mutation = core.MutateFlagsDead
 			return o
 		}
 	}
@@ -140,7 +140,7 @@ func TestCorpusReplay(t *testing.T) {
 			if o := firstFailure(diff(t, Configs(), &e.Prog)); o != nil {
 				t.Fatalf("stock runtime failed under %s: %s", o.Config, o.Failure())
 			}
-			if !e.ForceFlagsDead {
+			if !e.FlagsDeadMutant {
 				return
 			}
 			mutated := diff(t, forcedElision(), &e.Prog)

@@ -27,7 +27,7 @@ func Configs() []oracle.Config {
 	return []oracle.Config{
 		{Name: "default", Opts: core.Default},
 		{Name: "4k", Opts: with(func(o *core.Options) { o.BBCacheSize, o.TraceCacheSize = 4<<10, 4<<10 })},
-		{Name: "ibl-fixed", Opts: with(func(o *core.Options) { o.IBLAdaptive, o.IBLTableBits = false, 6 })},
+		{Name: "ibl-fixed", Opts: with(func(o *core.Options) { o.IBL, o.IBLTableBits = core.IBLOpenFixed, 6 })},
 		{Name: "noelide", Opts: with(func(o *core.Options) { o.FlagsElision = false })},
 	}
 }

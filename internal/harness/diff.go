@@ -11,6 +11,7 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/image"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/workload"
 )
@@ -41,6 +42,9 @@ type SuiteParams struct {
 	FuzzSeeds []int64               // generator seeds of the fuzz suites; nil means 1..200
 	FuzzOps   int                   // statement budget per generated program; 0 means 40
 	EventRing int                   // per-thread event-trace ring of the profile suite; 0 means off
+	// TraceEvents, when set, receives the telemetry suite's span stream:
+	// one process track per instrumented run. The caller closes it.
+	TraceEvents *obs.TraceWriter
 }
 
 // suiteBuilders maps each suite name to its constructor, in SuiteNames order.
@@ -57,6 +61,7 @@ var suiteBuilders = []struct {
 	{"chaosstorm", chaosStormSuite},
 	{"fuzz", fuzzSuite},
 	{"fuzzchaos", fuzzChaosSuite},
+	{"telemetry", telemetrySuite},
 }
 
 // SuiteNames lists the differential suites.
@@ -231,21 +236,21 @@ func evictionSuite(p SuiteParams) (*Suite, error) {
 // (conflict misses back to the dispatcher) and how adaptive growth escapes;
 // the tiny tables also drive long probe chains and displacement.
 func iblSuite(p SuiteParams) (*Suite, error) {
-	mk := func(bits uint, direct, adaptive, elide bool) func() core.Options {
+	mk := func(bits uint, org core.IBLOrg, elide bool) func() core.Options {
 		return defaultWith(func(o *core.Options) {
-			o.IBLTableBits, o.IBLDirectMapped, o.IBLAdaptive, o.FlagsElision = bits, direct, adaptive, elide
+			o.IBLTableBits, o.IBL, o.FlagsElision = bits, org, elide
 		})
 	}
 	noElide := []string{"direct-64", "direct-256", "open-256-noelide"}
 	return &Suite{
 		Cases: benchCases(p.Benches),
 		Configs: []oracle.Config{
-			{Name: "direct-64", Opts: mk(6, true, false, false)},
-			{Name: "direct-256", Opts: mk(8, true, false, false)},
-			{Name: "open-64", Opts: mk(6, false, false, true)},
-			{Name: "open-256", Opts: mk(8, false, false, true)},
-			{Name: "adaptive-from-64", Opts: mk(6, false, true, true)},
-			{Name: "open-256-noelide", Opts: mk(8, false, false, false)},
+			{Name: "direct-64", Opts: mk(6, core.IBLDirect, false)},
+			{Name: "direct-256", Opts: mk(8, core.IBLDirect, false)},
+			{Name: "open-64", Opts: mk(6, core.IBLOpenFixed, true)},
+			{Name: "open-256", Opts: mk(8, core.IBLOpenFixed, true)},
+			{Name: "adaptive-from-64", Opts: mk(6, core.IBLOpenAdaptive, true)},
+			{Name: "open-256-noelide", Opts: mk(8, core.IBLOpenFixed, false)},
 		},
 		Coverage: func(outs []oracle.Outcome) error {
 			var errs []error
@@ -370,7 +375,7 @@ func faultStormSuite(p SuiteParams) (*Suite, error) {
 			{Name: "unbounded", Opts: core.Default},
 			{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
 			{Name: "direct-noelide", Opts: defaultWith(func(o *core.Options) {
-				o.IBLDirectMapped, o.IBLAdaptive, o.FlagsElision = true, false, false
+				o.IBL, o.FlagsElision = core.IBLDirect, false
 			})},
 		},
 		Perturbations: faultPerturbations(p.Seeds),
@@ -397,28 +402,16 @@ func faultStormSuite(p SuiteParams) (*Suite, error) {
 	}, nil
 }
 
-// chaosTune shortens the degradation ladder's time constants: native
-// windows, retry budgets and cool-downs sized for multi-second production
-// runs would let a short benchmark finish natively before stepping back up.
-func chaosTune(o *core.Options) {
-	o.NativeWindow = 500
-	o.RecoveryRetryBudget = 2
-	o.RecoveryBackoff = 2
-	o.QuarantineThreshold = 3
-	o.ReattachCooldown = 8
-}
-
 // chaosConfigs are the unbounded runtime and a pressured bounded runtime with
 // a small IBL table, so rollback is exercised both with stable fragments and
 // amid eviction churn and hashtable resizes (the only way the evict-scrub
 // and IBL-resize sites are reachable).
 func chaosConfigs() []oracle.Config {
 	return []oracle.Config{
-		{Name: "unbounded", Opts: defaultWith(chaosTune)},
+		{Name: "unbounded", Opts: core.Default},
 		{Name: "4k-smallibl", Opts: defaultWith(func(o *core.Options) {
 			bounded(4 << 10)(o)
 			o.IBLTableBits = 4
-			chaosTune(o)
 		})},
 	}
 }

@@ -67,8 +67,7 @@ func ClientsFor(c OptConfig) []core.Client {
 // its ablation baseline.
 func Figure5Options() core.Options {
 	o := core.Default()
-	o.IBLDirectMapped = true
-	o.IBLAdaptive = false
+	o.IBL = core.IBLDirect
 	o.FlagsElision = false
 	return o
 }

@@ -1,6 +1,8 @@
 package harness_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"slices"
 	"sort"
 	"strings"
@@ -133,5 +135,67 @@ func TestProfileExperiment(t *testing.T) {
 	}
 	if out := harness.FormatProfile(g, 5); !strings.Contains(out, "crafty: hottest fragments") {
 		t.Errorf("profile view:\n%s", out)
+	}
+}
+
+// TestTelemetryMatrixCleanAndBitIdentical runs the telemetry suite over every
+// workload with span export on. Its check is the experiment's headline
+// guarantee: with every telemetry pillar on, each workload ends bit-identical
+// to native, conserves phase ticks, costs exactly the default run's ticks,
+// fills the block-build histogram and trips zero watchdog detections under
+// the default thresholds (a false positive means a healthy workload would
+// page someone). The combined stream must be one valid Chrome trace-event
+// document with one process track per workload.
+func TestTelemetryMatrixCleanAndBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-matrix differential run")
+	}
+	var trace bytes.Buffer
+	tw := obs.NewTraceWriter(&trace)
+	s, err := harness.NewSuite("telemetry", harness.SuiteParams{TraceEvents: tw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(outs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
+		t.Fatalf("combined trace stream is not valid JSON: %v", err)
+	}
+	tracks := map[int]bool{}
+	named := map[any]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "process_name" {
+			tracks[ev.Pid], named[ev.Args["name"]] = true, true
+		}
+	}
+	for _, c := range s.Cases {
+		if !named[c.Name] {
+			t.Errorf("no process track named %q", c.Name)
+		}
+	}
+	if len(tracks) != len(s.Cases) {
+		t.Errorf("trace stream has %d process tracks, want one per workload (%d)", len(tracks), len(s.Cases))
+	}
+	g, err := s.Grid(outs, nil, []string{"telemetry"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := harness.FormatTelemetry(g); !strings.Contains(out, "crafty") {
+		t.Errorf("telemetry view:\n%s", out)
 	}
 }

@@ -18,9 +18,9 @@ import (
 //   - one instant ("i") event per discrete ring event — link, unlink,
 //     quarantine, degrade, reattach, recover, anomaly;
 //   - one counter ("C") track per thread for live cache bytes;
-//   - pid = one process per runtime instance (per benchmark in multi-run
-//     files), tid = the simulated thread id, named through "M" metadata
-//     events.
+//   - pid = one process per runtime instance (NewProcess hands each
+//     runtime sharing a writer a fresh one), tid = the simulated thread id,
+//     named through "M" metadata events.
 //
 // TraceWriter streams events as they happen — nothing is buffered beyond
 // the encoder — so a trace of a crashed run is still loadable up to the
@@ -33,6 +33,7 @@ type TraceWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
 	n      int
+	pids   int
 	err    error
 	closed bool
 }
@@ -89,6 +90,17 @@ func (tw *TraceWriter) emit(ev any) {
 		return
 	}
 	tw.n++
+}
+
+// NewProcess allocates the next unused pid (1, 2, ...) and names its process
+// track: each runtime sharing the writer gets its own track.
+func (tw *TraceWriter) NewProcess(name string) int {
+	tw.mu.Lock()
+	tw.pids++
+	pid := tw.pids
+	tw.mu.Unlock()
+	tw.Process(pid, name)
+	return pid
 }
 
 // Process names the process track for pid ("M" metadata event).

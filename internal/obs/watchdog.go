@@ -155,7 +155,7 @@ type Watchdog struct {
 	flaps       map[uint32]*flapState
 	reattachSeq uint64
 
-	fired [NumAnomalyKinds]uint64 // per-kind fire counts
+	fired []Anomaly // every detection, in firing order
 }
 
 // NewWatchdog builds a watchdog with cfg (zero fields defaulted).
@@ -169,8 +169,8 @@ func (w *Watchdog) Interval() uint64 { return w.cfg.Interval }
 // Config returns the effective (defaulted) configuration.
 func (w *Watchdog) Config() WatchdogConfig { return w.cfg }
 
-// Fired returns how many times kind has fired.
-func (w *Watchdog) Fired(kind AnomalyKind) uint64 { return w.fired[kind] }
+// Anomalies returns every detection fired so far, in firing order.
+func (w *Watchdog) Anomalies() []Anomaly { return w.fired }
 
 // Feed consumes one sample and returns the detections that fired on it.
 func (w *Watchdog) Feed(s WatchdogSample) []Anomaly {
@@ -194,10 +194,10 @@ func (w *Watchdog) Feed(s WatchdogSample) []Anomaly {
 			return // still in the same episode
 		}
 		w.active[kind] = true
-		w.fired[kind]++
 		a.Kind = kind
 		a.Tick = s.Tick
 		out = append(out, a)
+		w.fired = append(w.fired, a)
 	}
 
 	evict := newest.Evictions - oldest.Evictions
@@ -252,12 +252,13 @@ func (w *Watchdog) NoteQuarantine(tick uint64, tag uint32) []Anomaly {
 	st.seqAtLastQ = w.reattachSeq
 	if st.cycles >= w.cfg.FlapCycles && st.firedAtCycle < st.cycles {
 		st.firedAtCycle = st.cycles
-		w.fired[AnomalyQuarantineFlap]++
-		return []Anomaly{{
+		a := Anomaly{
 			Kind: AnomalyQuarantineFlap, Tick: tick, Tag: tag,
 			Value: float64(st.cycles), Threshold: float64(w.cfg.FlapCycles),
 			Note: fmt.Sprintf("%d reattach-quarantine cycles", st.cycles),
-		}}
+		}
+		w.fired = append(w.fired, a)
+		return []Anomaly{a}
 	}
 	return nil
 }

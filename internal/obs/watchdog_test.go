@@ -45,8 +45,8 @@ func TestWatchdogEvictionThrash(t *testing.T) {
 	if len(again) != 1 {
 		t.Fatalf("re-armed condition fired %v, want exactly one", again)
 	}
-	if w.Fired(AnomalyEvictionThrash) != 2 {
-		t.Errorf("fired count = %d, want 2", w.Fired(AnomalyEvictionThrash))
+	if fired := w.Anomalies(); len(fired) != 2 || fired[0].Kind != AnomalyEvictionThrash || fired[1].Kind != AnomalyEvictionThrash {
+		t.Errorf("detections %v, want two eviction-thrash onsets", fired)
 	}
 }
 

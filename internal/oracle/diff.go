@@ -90,7 +90,12 @@ type Outcome struct {
 	// and EventsDropped counts ring overwrites before the drain.
 	Events        []obs.Event `json:"-"`
 	EventsDropped uint64      `json:"events_dropped,omitempty"`
-	Stats         core.Stats  `json:"stats"`
+	// Histograms digests the runtime's distribution metrics (in obs.Metric
+	// order) and Anomalies lists the watchdog's detections; both are filled
+	// only for a run with Options.Watchdog.
+	Histograms []obs.HistogramSummary `json:"-"`
+	Anomalies  []obs.Anomaly          `json:"-"`
+	Stats      core.Stats             `json:"stats"`
 }
 
 // Normalized is the run's simulated time as a ratio to native: the y-axis
@@ -340,6 +345,9 @@ func runCell(o *Outcome, c Case, cfg Config, p Perturbation, ref reference) erro
 	if opts.Profile {
 		phases := r.PhaseTicks()
 		o.Phases, o.Profiles = &phases, r.FragmentProfiles()
+	}
+	if wd := r.Watchdog(); wd != nil {
+		o.Histograms, o.Anomalies = r.Histograms().Summaries(), wd.Anomalies()
 	}
 	if tr := r.Tracer(); tr.Enabled() {
 		o.Events, o.EventsDropped = tr.Drain(), tr.Dropped()

@@ -1,7 +1,5 @@
 #!/usr/bin/env python3
-"""Compare drbench's published-table artifacts across the move from the four
-per-experiment schemas (drbench/figure5/v1, cachesweep/v1, iblsweep/v1,
-profile/v1) to the one table layout (drbench/table/v1), field by field.
+"""Compare drbench's committed artifacts across two checkouts, field by field.
 
 Usage:
 
@@ -10,17 +8,26 @@ Usage:
 For each of BENCH_figure5.json, BENCH_cachesweep.json, BENCH_iblsweep.json and
 BENCH_profile.json present in both directories, every measured value of the
 old file is looked up at its place in the new one and compared with ==
-(floats included). The header (schema, workers, wall clock) and the old point
-parameters (bytes, bits, direct_mapped, ...) are not measurements and are
-skipped. Prints each differing or missing field, then one summary line per
-file; exits 1 on any difference. Either side may use either schema.
+(floats included). Either side may use either the old per-experiment schemas
+(drbench/figure5/v1, cachesweep/v1, iblsweep/v1, profile/v1) or the one table
+layout (drbench/table/v1); the old point parameters (bytes, bits,
+direct_mapped, ...) are not measurements and are skipped.
+BENCH_faultstorm.json, BENCH_chaosstorm.json (drbench/diff/v1) and
+BENCH_telemetry.json (drbench/telemetry/v1) are compared as whole documents,
+every leaf at its JSON path. The header (schema, workers, wall clock) is
+skipped everywhere. Prints each differing or missing field, then one summary
+line per file; exits 1 on any difference.
 """
 
 import json
 import os
 import sys
 
-FILES = ["BENCH_figure5.json", "BENCH_cachesweep.json", "BENCH_iblsweep.json", "BENCH_profile.json"]
+FILES = ["BENCH_figure5.json", "BENCH_cachesweep.json", "BENCH_iblsweep.json", "BENCH_profile.json",
+         "BENCH_faultstorm.json", "BENCH_chaosstorm.json", "BENCH_telemetry.json"]
+
+# Header fields: not measurements.
+HEADER = ("schema", "workers", "wall_clock_seconds")
 
 # Old per-cell counter fields and the core.Stats field each one reports.
 STATS = {
@@ -96,10 +103,28 @@ def flat_new(d):
     return out
 
 
+def flat_doc(v, prefix="", out=None):
+    """Flattens any JSON document to {leaf path: value}."""
+    if out is None:
+        out = {}
+    if isinstance(v, dict):
+        for k, x in v.items():
+            flat_doc(x, prefix + "." + k if prefix else k, out)
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            flat_doc(x, "%s[%d]" % (prefix, i), out)
+    else:
+        out[prefix] = v
+    return out
+
+
 def flatten(path):
     with open(path) as f:
         d = json.load(f)
-    return d["schema"], (flat_new(d) if d["schema"] == "drbench/table/v1" else flat_old(d))
+    schema = d["schema"]
+    if schema in ("drbench/diff/v1", "drbench/telemetry/v1"):
+        return schema, flat_doc({k: v for k, v in d.items() if k not in HEADER})
+    return schema, (flat_new(d) if schema == "drbench/table/v1" else flat_old(d))
 
 
 def main(old_dir, new_dir):
