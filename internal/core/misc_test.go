@@ -147,7 +147,6 @@ func TestMachineMiscAccessors(t *testing.T) {
 	if m.Ticks != before+100 {
 		t.Error("Charge")
 	}
-	m.InvalidateICache() // must not break subsequent execution
 	if s := m.Mem.String(); !strings.Contains(s, "pages") {
 		t.Errorf("memory string %q", s)
 	}

@@ -186,7 +186,7 @@ func New(m *machine.Machine, img *image.Image, opts Options, out io.Writer, clie
 	}
 	r.initSpans()
 	if opts.Watchdog {
-		r.wd = obs.NewWatchdog(obs.WatchdogConfig{})
+		r.wd = obs.NewWatchdog()
 		r.wdNext = r.wd.Interval()
 	}
 	if opts.Profile {

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/image"
@@ -37,7 +38,8 @@ outer:
 
 // BenchmarkInterpreterHotLoop measures raw interpreter throughput (reported
 // as instructions/sec via SetBytes: 1 byte == 1 retired instruction),
-// isolating the decode-cache thunk dispatch from the harness and runtime.
+// isolating the decoded-instruction thunk dispatch from the harness and
+// runtime.
 func BenchmarkInterpreterHotLoop(b *testing.B) {
 	img, err := image.Assemble("hotloop", hotLoopSource)
 	if err != nil {
@@ -54,4 +56,31 @@ func BenchmarkInterpreterHotLoop(b *testing.B) {
 		instret = m.Stats.Instructions
 	}
 	b.SetBytes(int64(instret))
+}
+
+// BenchmarkMachineNew measures the fixed cost of a fresh machine, which
+// dominates runs of many tiny programs (the fuzzer's).
+func BenchmarkMachineNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newSink = machine.New(machine.PentiumIV())
+	}
+}
+
+var newSink *machine.Machine
+
+// TestMachineNewAllocatesUnder1MiB: a fresh machine allocates no decode
+// storage up front; decoded instructions live in the pages they were
+// fetched from.
+func TestMachineNewAllocatesUnder1MiB(t *testing.T) {
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		newSink = machine.New(machine.PentiumIV())
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1<<20 {
+		t.Errorf("machine.New allocates %d KiB, want under 1024 KiB", per>>10)
+	}
 }

@@ -181,6 +181,42 @@ storehere:
 	}
 }
 
+// TestFaultCrossPageStoreCommitsNothing: a 32-bit store whose last two
+// bytes land on a write-protected page faults before storing any byte, so
+// the two bytes on the writable page keep their old value too.
+func TestFaultCrossPageStoreCommitsNothing(t *testing.T) {
+	m, img := boot(t, `
+main:
+    mov eax, 7
+    mov ebx, handler
+    int 0x80
+    mov eax, 0xDEADBEEF
+storehere:
+    mov [0x1FFFE], eax
+    hlt
+handler:
+    mov eax, 1
+    mov ebx, 0
+    int 0x80
+`)
+	old := []byte{0x11, 0x22, 0x33, 0x44}
+	m.Mem.WriteBytes(0x1FFFE, old)
+	m.Mem.Protect(0x20000, 0x30000, machine.ProtNoWrite)
+	if err := m.Run(10000); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.FaultTrace) != 1 {
+		t.Fatalf("fault trace = %+v, want one #PF", m.FaultTrace)
+	}
+	f := m.FaultTrace[0]
+	if f.Kind != machine.FaultPage || f.Addr != 0x20000 || !f.Write || f.EIP != img.Symbol("storehere") {
+		t.Errorf("fault = %+v, want #PF write of 0x20000 at %#x", f, img.Symbol("storehere"))
+	}
+	if got := m.Mem.ReadBytes(0x1FFFE, 4); string(got) != string(old) {
+		t.Errorf("bytes at 0x1FFFE = % x, want % x unchanged", got, old)
+	}
+}
+
 func TestPageFaultReadProtect(t *testing.T) {
 	m, _ := boot(t, `
 main:

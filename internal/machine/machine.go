@@ -158,19 +158,11 @@ type Machine struct {
 	watchHook       func(t *Thread)
 	injections      []*faultInjection
 
-	icache  []icEntry // direct-mapped decoded-instruction cache
 	nextTID int
 
 	// phaseState is the phase-accounting and fragment-profiling state
 	// (see phase.go); inert until EnablePhaseAccounting.
 	phaseState
-}
-
-const icacheBits = 17
-
-type icEntry struct {
-	pc Addr
-	ci *cachedInst
 }
 
 // Stats are machine-level event counters.
@@ -196,12 +188,12 @@ type Stats struct {
 	SignalsDropped uint64
 }
 
-// cachedInst is one decode-cache entry: the decoded instruction plus the
+// cachedInst is one decoded instruction, stored in the decode table of the
+// page it was fetched from (see page.code): the decoded instruction plus the
 // execution state resolved once at decode time — the thunk (fn), the
 // fall-through EIP, the profile's base cost, and the operand properties the
-// thunk would otherwise re-derive on every step. The gen fields tie the
-// entry to the write generations of the 256-byte chunk(s) the instruction
-// bytes occupy; they are what keeps fused dispatch correct under
+// thunk would otherwise re-derive on every step. Every write to memory drops
+// the decodes it overlaps, which is what keeps fused dispatch correct under
 // self-modifying code (fragment replacement, InvalidateRange).
 type cachedInst struct {
 	inst   ia32.Inst
@@ -210,13 +202,10 @@ type cachedInst struct {
 	target Addr   // direct CTI target; ret: imm16 stack adjustment
 	cost   Ticks  // profile base cost of the opcode
 	imm    uint32 // immediate value for specialized reg/imm thunks
-	gen    uint32
-	gen2   uint32 // generation of the second chunk when the instruction spans one
 	size   uint8  // operation size in bytes for size-dependent opcodes
 	cc     uint8  // condition code (jcc/setcc/cmovcc); int: vector
 	r1     uint8  // register-file indices for specialized register thunks
 	r2     uint8
-	twoP   bool
 }
 
 // New returns a machine with the given cost profile and one initial thread.
@@ -226,7 +215,6 @@ func New(p *Profile) *Machine {
 		Profile:  p,
 		traps:    map[Addr]TrapFunc{},
 		nextTrap: TrapBase,
-		icache:   make([]icEntry, 1<<icacheBits),
 	}
 	m.NewThread()
 	return m
@@ -309,38 +297,26 @@ func (m *Machine) Charge(t Ticks) {
 // charges the clock.
 func (m *Machine) Now() uint64 { return uint64(m.Ticks) }
 
-// InvalidateICache drops all cached decodes (used sparingly; per-page
-// generations catch ordinary code modification automatically).
-func (m *Machine) InvalidateICache() { m.icache = make([]icEntry, 1<<icacheBits) }
-
-// decode returns the decoded instruction at pc, consulting the decode cache
-// and validating it against the write generations of the 256-byte chunk(s)
-// the instruction occupies (see Memory.SubGen).
-func (m *Machine) decode(pc Addr) (*cachedInst, error) {
-	e := &m.icache[pc&(1<<icacheBits-1)]
-	if e.pc == pc && e.ci != nil {
-		ci := e.ci
-		if m.Mem.SubGen(pc) == ci.gen &&
-			(!ci.twoP || m.Mem.SubGen(pc+Addr(ci.inst.Len)-1) == ci.gen2) {
-			return ci, nil
-		}
-	}
+// decode decodes the instruction at pc and stores it in the decode table
+// of its page, where Step finds it until a write overlapping its bytes
+// drops it (see Memory.dropCode). Step calls it only on a miss. It returns
+// nil if the bytes at pc do not decode.
+func (m *Machine) decode(pc Addr) *cachedInst {
 	m.Stats.DecodeMisses++
-	var buf [16]byte
-	bytes := m.Mem.Fetch(pc, buf[:])
-	inst, err := ia32.Decode(bytes, pc)
+	var buf [maxInstLen]byte
+	inst, err := ia32.Decode(m.Mem.Fetch(pc, buf[:]), pc)
 	if err != nil {
-		return nil, fmt.Errorf("machine: decode at %#x: %w", pc, err)
+		return nil
 	}
-	ci := &cachedInst{inst: inst, gen: m.Mem.SubGen(pc)}
-	end := pc + Addr(inst.Len) - 1
-	if end>>chunkShift != pc>>chunkShift {
-		ci.twoP = true
-		ci.gen2 = m.Mem.SubGen(end)
+	if end := pc + Addr(inst.Len) - 1; end>>pageShift != pc>>pageShift {
+		// Writes look for overlapped decodes only on pages that have a
+		// table; give the tail's page one so that writes there find this.
+		m.Mem.codeSlot(end)
 	}
+	ci := &cachedInst{inst: inst}
 	m.resolve(ci, pc)
-	e.pc, e.ci = pc, ci
-	return ci, nil
+	*m.Mem.codeSlot(pc) = ci
+	return ci
 }
 
 // Errors returned by the run loop.
@@ -381,11 +357,13 @@ func (m *Machine) Step(t *Thread) error {
 		}
 		return nil
 	}
-	ci, err := m.decode(pc)
-	if err != nil {
-		// Undecodable bytes are an architectural event, not an
-		// infrastructure failure: raise #UD on this thread only.
-		return m.raiseFault(t, &Fault{Kind: FaultUD})
+	ci := m.Mem.decoded(pc)
+	if ci == nil {
+		if ci = m.decode(pc); ci == nil {
+			// Undecodable bytes are an architectural event, not an
+			// infrastructure failure: raise #UD on this thread only.
+			return m.raiseFault(t, &Fault{Kind: FaultUD})
+		}
 	}
 	if m.injections != nil {
 		if inj := m.injectionFor(t.ID, false, t.Instret); inj != nil {
@@ -393,30 +371,32 @@ func (m *Machine) Step(t *Thread) error {
 			return m.raiseFault(t, &Fault{Kind: inj.Kind, Addr: inj.Addr})
 		}
 	}
-	if m.phaseOn {
-		return m.stepProfiled(t, ci, pc)
-	}
 	m.Stats.Instructions++
 	t.Instret++
+	before := m.Ticks
+	m.charged = 0
 	m.Ticks += ci.cost + m.PerInstrOverhead
+	var err error
 	if m.Mem.protCount != 0 {
-		return m.stepGuarded(t, ci)
+		err = m.stepGuarded(t, ci)
+	} else {
+		err = ci.fn(m, t, ci)
 	}
-	if err := ci.fn(m, t, ci); err != nil {
-		if f, ok := err.(*Fault); ok {
-			return m.raiseFault(t, f)
-		}
-		return err
+	if f, ok := err.(*Fault); ok {
+		err = m.raiseFault(t, f)
 	}
-	return nil
+	if m.phaseOn {
+		m.attribute(pc, m.Ticks-before-m.charged)
+	}
+	return err
 }
 
 // stepGuarded executes one decoded instruction with page faults armed. The
 // CPU is snapshotted first; a #PF panic from the memory layer unwinds any
 // partial execution of the thunk back to the precise instruction boundary
-// before the fault is delivered. Thunks that return a *Fault as an error
-// guarantee they did so before any state change, so no rewind is needed on
-// that path.
+// and is returned as the instruction's *Fault. Thunks that return a *Fault
+// as an error guarantee they did so before any state change, so no rewind
+// is needed on that path.
 func (m *Machine) stepGuarded(t *Thread, ci *cachedInst) (err error) {
 	saved := t.CPU
 	defer func() {
@@ -426,15 +406,10 @@ func (m *Machine) stepGuarded(t *Thread, ci *cachedInst) (err error) {
 				panic(p)
 			}
 			t.CPU = saved
-			err = m.raiseFault(t, f)
+			err = f
 		}
 	}()
-	if err = ci.fn(m, t, ci); err != nil {
-		if f, ok := err.(*Fault); ok {
-			err = m.raiseFault(t, f)
-		}
-	}
-	return err
+	return ci.fn(m, t, ci)
 }
 
 // deliverSignal transfers control to the first queued handler, either

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -541,7 +542,7 @@ l:  add eax, 1
 
 func TestSelfModifyingCodeInvalidation(t *testing.T) {
 	// Overwrite an instruction in the loop body and observe the change:
-	// the decoded-instruction cache must notice the write.
+	// the write must drop the stale decode.
 	m := run(t, `
 main:
     mov ecx, 2
@@ -557,6 +558,68 @@ loop:
 	// First iteration adds 1, then the byte patch makes it add 2.
 	if got := m.OutputString(); got != "3" {
 		t.Errorf("output = %q, want 3 (1 then 2)", got)
+	}
+}
+
+// TestDecodeStoreCoherence pins the decode store's contract: a write drops
+// exactly the decoded instructions whose bytes it overlaps, wherever they
+// lie. Each of the loop's 100 iterations adds 1 (through edi) or 2 (through
+// esi) and stores 0xE6 into [target]. Patching the ModRM byte of "jmp edi"
+// (FF E7) turns it into "jmp esi": every later iteration adds 2 and
+// re-decodes the jmp once. The jmp's ModRM byte is the only byte of it on
+// the far side of the edge, and nothing else is ever fetched there. A store
+// into data that shares the hot loop's 256-byte chunk, right after its last
+// instruction, re-decodes nothing: that run decodes each of the 17
+// instructions it executes (all but "add ebx, 2") once.
+func TestDecodeStoreCoherence(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		edge       uint32 // address of "jmp edi"
+		target     string
+		want       string
+		wantMisses uint64
+	}{
+		// The jmp's ModRM byte opens the next 256-byte chunk.
+		{"chunk-edge", 0x10FF, "edge+1", "199", 18 + 98},
+		// The jmp's ModRM byte opens the next 64 KiB page.
+		{"page-edge", 0x1FFFF, "edge+1", "199", 18 + 98},
+		{"data-in-code-chunk", 0x10FF, "data", "100", 17},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := run(t, fmt.Sprintf(`
+main:
+    mov ecx, 100
+    mov ebx, 0
+    mov edi, add1
+    mov esi, add2
+    jmp add1
+add1:
+    add ebx, 1
+    jmp body
+add2:
+    add ebx, 2
+body:
+    mov byte [%s], 0xE6
+    dec ecx
+    jz done
+    jmp edge
+data:
+    .byte 0
+done:
+    mov eax, 3
+    int 0x80
+`+exitSnippet+`
+.org %#x
+edge:
+    jmp edi
+`, tc.target, tc.edge))
+			if got := m.OutputString(); got != tc.want {
+				t.Errorf("output = %q, want %q", got, tc.want)
+			}
+			if got := m.Stats.DecodeMisses; got != tc.wantMisses {
+				t.Errorf("decode misses = %d, want %d", got, tc.wantMisses)
+			}
+		})
 	}
 }
 

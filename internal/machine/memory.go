@@ -24,13 +24,17 @@ const (
 	pageSize  = 1 << pageShift
 	pageCount = 1 << (32 - pageShift)
 
-	// chunkShift is the granularity of the fine-grained write generations
-	// (see SubGen): 256-byte chunks. The decoded-instruction cache
-	// validates against chunks rather than whole pages so that appending
-	// one fragment to the simulated code cache does not invalidate the
-	// decodes of every other fragment sharing its 64 KiB page.
+	// chunkShift sizes the decode tables: a page keeps one table of
+	// decoded instructions per 256-byte chunk that has held code, so a
+	// page with a few fragments in it does not pay for 64 KiB of slots.
 	chunkShift = 8
+	chunkSize  = 1 << chunkShift
 	chunkCount = pageSize >> chunkShift
+
+	// maxInstLen bounds an instruction's length: the decoder reads at most
+	// this many bytes (Machine.decode's fetch window), so a write can only
+	// overlap decodes that start fewer than maxInstLen bytes before it.
+	maxInstLen = 16
 )
 
 // PageSize is the granularity of page-level write-generation tracking (see
@@ -38,21 +42,27 @@ const (
 const PageSize Addr = pageSize
 
 type page struct {
+	// code holds the page's decoded instructions: code[c][o] is the decode
+	// of the instruction starting at offset o of chunk c, or nil. The chunk
+	// tables are allocated the first time code in them is fetched, and
+	// every write drops the decodes that overlap the written bytes, so a
+	// present decode always matches memory. It is the page's only pointer
+	// and comes first, so the GC never scans bytes.
+	code  *[chunkCount]*codeChunk
 	bytes [pageSize]byte
 	// gen counts writes to the page; embedders (fragment staleness checks
 	// in the runtime) use it to detect self-modifying code.
 	gen uint32
-	// sub counts writes per 256-byte chunk; the decoded-instruction cache
-	// uses it for precise invalidation (fragment replacement writes into
-	// the simulated code cache). Every write bumps both gen and the
-	// touched sub entries, so sub is strictly finer than gen.
-	sub [chunkCount]uint32
 	// prot is the page's access-restriction bits (ProtNoRead/ProtNoWrite).
 	// The zero value means fully accessible, so untouched pages stay
 	// permissive and the permission check stays off the fast path of runs
 	// that never call Protect.
 	prot uint8
 }
+
+// codeChunk is the decode table of one 256-byte chunk, indexed by the
+// instruction's start offset in the chunk.
+type codeChunk [chunkSize]*cachedInst
 
 // Page permission restriction bits for Protect. They are restrictions, not
 // grants: a zero value (the default for every page) allows everything.
@@ -178,13 +188,11 @@ func (m *Memory) Write8(a Addr, v uint8) {
 	p := m.pageFor(a)
 	o := a & (pageSize - 1)
 	p.bytes[o] = v
-	p.gen++
-	p.sub[o>>chunkShift]++
+	m.wrote(p, a, 1)
 }
 
 // Write16 writes a little-endian 16-bit value. The in-page fast path bumps
-// the page generation once (not once per byte), halving the decode-cache
-// invalidation pressure of 16-bit stores.
+// the page generation once, not once per byte.
 func (m *Memory) Write16(a Addr, v uint16) {
 	if a&(pageSize-1) <= pageSize-2 {
 		if m.protCount != 0 {
@@ -194,12 +202,11 @@ func (m *Memory) Write16(a Addr, v uint16) {
 		o := a & (pageSize - 1)
 		p.bytes[o] = uint8(v)
 		p.bytes[o+1] = uint8(v >> 8)
-		p.gen++
-		p.sub[o>>chunkShift]++
-		if (o+1)>>chunkShift != o>>chunkShift {
-			p.sub[(o+1)>>chunkShift]++
-		}
+		m.wrote(p, a, 2)
 		return
+	}
+	if m.protCount != 0 {
+		m.protCheckWrite(a, 2)
 	}
 	m.Write8(a, uint8(v))
 	m.Write8(a+1, uint8(v>>8))
@@ -217,12 +224,11 @@ func (m *Memory) Write32(a Addr, v uint32) {
 		p.bytes[o+1] = byte(v >> 8)
 		p.bytes[o+2] = byte(v >> 16)
 		p.bytes[o+3] = byte(v >> 24)
-		p.gen++
-		p.sub[o>>chunkShift]++
-		if (o+3)>>chunkShift != o>>chunkShift {
-			p.sub[(o+3)>>chunkShift]++
-		}
+		m.wrote(p, a, 4)
 		return
+	}
+	if m.protCount != 0 {
+		m.protCheckWrite(a, 4)
 	}
 	m.Write16(a, uint16(v))
 	m.Write16(a+2, uint16(v>>16))
@@ -230,19 +236,66 @@ func (m *Memory) Write32(a Addr, v uint32) {
 
 // WriteBytes copies b into memory starting at a.
 func (m *Memory) WriteBytes(a Addr, b []byte) {
+	if m.protCount != 0 {
+		m.protCheckWrite(a, len(b))
+	}
 	for len(b) > 0 {
-		if m.protCount != 0 {
-			m.protCheck(a, true)
-		}
 		p := m.pageFor(a)
-		o := a & (pageSize - 1)
-		n := copy(p.bytes[o:], b)
-		p.gen++
-		for c := o >> chunkShift; c <= (o+Addr(n)-1)>>chunkShift; c++ {
-			p.sub[c]++
-		}
+		n := copy(p.bytes[a&(pageSize-1):], b)
+		m.wrote(p, a, Addr(n))
 		b = b[n:]
 		a += Addr(n)
+	}
+}
+
+// protCheckWrite checks every page an n-byte write at a touches before any
+// byte is stored, so a write that faults on its second page leaves the
+// first unchanged. The fault address is the first forbidden byte.
+func (m *Memory) protCheckWrite(a Addr, n int) {
+	for i := 0; i < n; i += pageSize - int((a+Addr(i))&(pageSize-1)) {
+		m.protCheck(a+Addr(i), true)
+	}
+}
+
+// wrote records that the n bytes at a, all in page p, were just written:
+// it bumps the page generation and drops the decodes the bytes overlap.
+// Only a page with a decode table can hold such bytes: a decode whose tail
+// crosses into the next page gives that page a table too (see
+// Machine.decode).
+func (m *Memory) wrote(p *page, a, n Addr) {
+	p.gen++
+	if p.code != nil {
+		m.dropCode(a, n)
+	}
+}
+
+// dropCode drops exactly the decodes that overlap the n bytes written at
+// a: every one starting in [a, a+n), and those starting up to maxInstLen-1
+// bytes before a that are long enough to reach it. Only chunks that have a
+// table are visited; the tables themselves stay for the next fetch.
+func (m *Memory) dropCode(a, n Addr) {
+	const back = maxInstLen - 1
+	s, left := a-back, n+back // slots [s, s+left) may hold overlapping decodes
+	for {
+		o := s & (pageSize - 1)
+		k := pageSize - o // slots to the end of the page
+		if p := m.pages[s>>pageShift]; p != nil && p.code != nil {
+			k = chunkSize - o&(chunkSize-1) // slots to the end of the chunk
+			if t := p.code[o>>chunkShift]; t != nil {
+				lo := o & (chunkSize - 1)
+				d := n + back - left // distance from a-back to s
+				for i, ci := range t[lo : lo+min(k, left)] {
+					if ci != nil && d+Addr(i)+Addr(ci.inst.Len) > back {
+						t[lo+Addr(i)] = nil
+					}
+				}
+			}
+		}
+		if k >= left {
+			return
+		}
+		s += k
+		left -= k
 	}
 }
 
@@ -275,22 +328,39 @@ func (m *Memory) Fetch(a Addr, buf []byte) []byte {
 	return buf
 }
 
+// decoded returns the stored decode of the instruction starting at a, or
+// nil.
+func (m *Memory) decoded(a Addr) *cachedInst {
+	if p := m.pages[a>>pageShift]; p != nil && p.code != nil {
+		if t := p.code[a&(pageSize-1)>>chunkShift]; t != nil {
+			return t[a&(chunkSize-1)]
+		}
+	}
+	return nil
+}
+
+// codeSlot returns the decode-table slot of the instruction starting at a,
+// allocating the page's and the chunk's tables on first use. The slot is
+// nil until the machine stores a decode there, and again after any write
+// overlapping that instruction's bytes.
+func (m *Memory) codeSlot(a Addr) **cachedInst {
+	p := m.pageFor(a)
+	if p.code == nil {
+		p.code = new([chunkCount]*codeChunk)
+	}
+	o := a & (pageSize - 1)
+	t := p.code[o>>chunkShift]
+	if t == nil {
+		t = new(codeChunk)
+		p.code[o>>chunkShift] = t
+	}
+	return &t[o&(chunkSize-1)]
+}
+
 // Gen returns the write-generation of the page containing a.
 func (m *Memory) Gen(a Addr) uint32 {
 	if p := m.pages[a>>pageShift]; p != nil {
 		return p.gen
-	}
-	return 0
-}
-
-// SubGen returns the write-generation of the 256-byte chunk containing a.
-// It is the fine-grained companion of Gen: every write bumps the chunk
-// generations it touches, so a stable SubGen over an instruction's bytes
-// proves those bytes are unmodified. The decode cache validates against
-// SubGen to survive unrelated writes elsewhere on the same page.
-func (m *Memory) SubGen(a Addr) uint32 {
-	if p := m.pages[a>>pageShift]; p != nil {
-		return p.sub[a&(pageSize-1)>>chunkShift]
 	}
 	return 0
 }

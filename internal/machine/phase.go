@@ -12,7 +12,7 @@ import "repro/internal/obs"
 // instructions are attributed by *where they ran*: the runtime classifies
 // its emitted code regions with MapCodeRange (fragment bodies, exit stubs,
 // the indirect-branch lookup routines) at 16-byte granularity — fragments
-// are 16-aligned — and the profiled step looks the executing PC up in that
+// are 16-aligned — and Step looks the executing PC up in that
 // map. The per-instruction tick delta, minus any in-window Charges (which
 // carry their own phase), goes to the region's phase; unmapped PCs are
 // native application code. Conservation — the phase ticks summing exactly
@@ -195,29 +195,11 @@ func (m *Machine) noteTrap() {
 	m.lastExecPhase = obs.PhaseContextSwitch
 }
 
-// stepProfiled is Step's tail with phase attribution: it executes the
-// decoded instruction and attributes the window's tick delta — minus
-// in-window Charges, which carry their own phase — to the phase of the
-// executing code region, updating the owning fragment's counters.
-func (m *Machine) stepProfiled(t *Thread, ci *cachedInst, pc Addr) error {
-	m.Stats.Instructions++
-	t.Instret++
-	before := m.Ticks
-	m.charged = 0
-	m.Ticks += ci.cost + m.PerInstrOverhead
-
-	var err error
-	if m.Mem.protCount != 0 {
-		err = m.stepGuarded(t, ci)
-	} else if e := ci.fn(m, t, ci); e != nil {
-		if f, ok := e.(*Fault); ok {
-			err = m.raiseFault(t, f)
-		} else {
-			err = e
-		}
-	}
-
-	delta := m.Ticks - before - m.charged
+// attribute charges one executed instruction's tick window to the phase of
+// the code region at pc, updating the owning fragment's counters. delta is
+// the window's tick delta minus in-window Charges, which carry their own
+// phase.
+func (m *Machine) attribute(pc Addr, delta Ticks) {
 	ph, fid, stub := m.classifyExec(pc)
 	// The per-instruction interpretation overhead (ModeEmulate) is
 	// dispatcher work, not application work.
@@ -244,5 +226,4 @@ func (m *Machine) stepProfiled(t *Thread, ci *cachedInst, pc Addr) error {
 		}
 	}
 	m.curFrag, m.curStub, m.lastExecPhase = fid, stub, ph
-	return err
 }

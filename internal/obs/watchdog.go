@@ -20,17 +20,17 @@ type AnomalyKind uint8
 const (
 	// AnomalyEvictionThrash: over the sliding window, the ratio of
 	// regenerated (rebuilt-after-eviction) fragments to evictions exceeds
-	// ThrashRatio with at least ThrashMinEvictions evictions — the working
+	// thrashRatio with at least thrashMinEvictions evictions — the working
 	// set does not fit and the cache is churning it.
 	AnomalyEvictionThrash AnomalyKind = iota
-	// AnomalyIBLResizeStorm: at least ResizeStormCount IBL hashtable
+	// AnomalyIBLResizeStorm: at least resizeStormCount IBL hashtable
 	// doublings within the window.
 	AnomalyIBLResizeStorm
-	// AnomalyQuarantineFlap: a tag completed FlapCycles
+	// AnomalyQuarantineFlap: a tag completed flapCycles
 	// reattach→quarantine cycles — it keeps being forgiven and re-barred.
 	AnomalyQuarantineFlap
 	// AnomalyDispatchDominance: the dispatcher (context-switch + dispatch
-	// phases) consumed more than DispatchShare of the window's ticks —
+	// phases) consumed more than dispatchShare of the window's ticks —
 	// the run is thrashing through the runtime instead of executing.
 	// Requires phase accounting (zero phase ticks never fire it).
 	AnomalyDispatchDominance
@@ -71,54 +71,26 @@ func (a Anomaly) String() string {
 	return s
 }
 
-// WatchdogConfig tunes the watchdog. Zero values take the defaults; the
-// defaults are calibrated to fire on none of the 22 workloads under the
-// default configuration (the zero-false-positive matrix the tests pin).
-type WatchdogConfig struct {
-	// Interval is the tick budget between samples: the runtime feeds one
-	// snapshot per Interval simulated ticks. Default 500_000.
-	Interval uint64
-	// Window is the sliding window length, in samples. Default 8.
-	Window int
+// The watchdog's thresholds. They are calibrated to fire on none of the 22
+// workloads under the default configuration (the zero-false-positive
+// matrix the tests pin).
+const (
+	// sampleInterval is the tick budget between samples: the runtime feeds
+	// one snapshot per sampleInterval simulated ticks.
+	sampleInterval = 500_000
+	// window is the sliding window length, in samples.
+	window = 8
 
-	ThrashRatio        float64 // default 0.75 regenerations per eviction
-	ThrashMinEvictions uint64  // default 64 evictions in the window
+	thrashRatio        = 0.75 // regenerations per eviction
+	thrashMinEvictions = 64   // evictions in the window
 
-	ResizeStormCount uint64 // default 8 IBL doublings in the window
+	resizeStormCount = 8 // IBL doublings in the window
 
-	FlapCycles int // default 2 reattach→quarantine cycles per tag
+	flapCycles = 2 // reattach→quarantine cycles per tag
 
-	DispatchShare    float64 // default 0.6 of the window's ticks
-	DispatchMinTicks uint64  // default 1_000_000 window ticks before judging
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval == 0 {
-		c.Interval = 500_000
-	}
-	if c.Window <= 1 {
-		c.Window = 8
-	}
-	if c.ThrashRatio == 0 {
-		c.ThrashRatio = 0.75
-	}
-	if c.ThrashMinEvictions == 0 {
-		c.ThrashMinEvictions = 64
-	}
-	if c.ResizeStormCount == 0 {
-		c.ResizeStormCount = 8
-	}
-	if c.FlapCycles == 0 {
-		c.FlapCycles = 2
-	}
-	if c.DispatchShare == 0 {
-		c.DispatchShare = 0.6
-	}
-	if c.DispatchMinTicks == 0 {
-		c.DispatchMinTicks = 1_000_000
-	}
-	return c
-}
+	dispatchShare    = 0.6       // of the window's ticks
+	dispatchMinTicks = 1_000_000 // window ticks before judging
+)
 
 // WatchdogSample is one periodic snapshot of the cumulative counters the
 // watchdog consumes. The runtime builds it from StatsSnapshot and the phase
@@ -147,7 +119,6 @@ type flapState struct {
 // Watchdog is the sampling monitor. It is not safe for concurrent use; the
 // runtime feeds it from the single simulation goroutine.
 type Watchdog struct {
-	cfg     WatchdogConfig
 	samples []WatchdogSample // sliding window, oldest first
 
 	active [NumAnomalyKinds]bool // edge-trigger state
@@ -158,16 +129,13 @@ type Watchdog struct {
 	fired []Anomaly // every detection, in firing order
 }
 
-// NewWatchdog builds a watchdog with cfg (zero fields defaulted).
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	return &Watchdog{cfg: cfg.withDefaults(), flaps: map[uint32]*flapState{}}
+// NewWatchdog builds a watchdog.
+func NewWatchdog() *Watchdog {
+	return &Watchdog{flaps: map[uint32]*flapState{}}
 }
 
-// Interval returns the configured tick budget between samples.
-func (w *Watchdog) Interval() uint64 { return w.cfg.Interval }
-
-// Config returns the effective (defaulted) configuration.
-func (w *Watchdog) Config() WatchdogConfig { return w.cfg }
+// Interval returns the tick budget between samples.
+func (w *Watchdog) Interval() uint64 { return sampleInterval }
 
 // Anomalies returns every detection fired so far, in firing order.
 func (w *Watchdog) Anomalies() []Anomaly { return w.fired }
@@ -175,7 +143,7 @@ func (w *Watchdog) Anomalies() []Anomaly { return w.fired }
 // Feed consumes one sample and returns the detections that fired on it.
 func (w *Watchdog) Feed(s WatchdogSample) []Anomaly {
 	w.samples = append(w.samples, s)
-	if len(w.samples) > w.cfg.Window {
+	if len(w.samples) > window {
 		w.samples = w.samples[1:]
 	}
 	if len(w.samples) < 2 {
@@ -207,14 +175,14 @@ func (w *Watchdog) Feed(s WatchdogSample) []Anomaly {
 		ratio = float64(regen) / float64(evict)
 	}
 	check(AnomalyEvictionThrash,
-		evict >= w.cfg.ThrashMinEvictions && ratio > w.cfg.ThrashRatio,
-		Anomaly{Value: ratio, Threshold: w.cfg.ThrashRatio,
+		evict >= thrashMinEvictions && ratio > thrashRatio,
+		Anomaly{Value: ratio, Threshold: thrashRatio,
 			Note: fmt.Sprintf("%d regenerations / %d evictions in window", regen, evict)})
 
 	resizes := newest.IBLResizes - oldest.IBLResizes
 	check(AnomalyIBLResizeStorm,
-		resizes >= w.cfg.ResizeStormCount,
-		Anomaly{Value: float64(resizes), Threshold: float64(w.cfg.ResizeStormCount),
+		resizes >= resizeStormCount,
+		Anomaly{Value: float64(resizes), Threshold: resizeStormCount,
 			Note: fmt.Sprintf("%d IBL doublings in window", resizes)})
 
 	dispatch := newest.DispatchTicks - oldest.DispatchTicks
@@ -223,8 +191,8 @@ func (w *Watchdog) Feed(s WatchdogSample) []Anomaly {
 		share = float64(dispatch) / float64(windowTicks)
 	}
 	check(AnomalyDispatchDominance,
-		windowTicks >= w.cfg.DispatchMinTicks && share > w.cfg.DispatchShare,
-		Anomaly{Value: share, Threshold: w.cfg.DispatchShare,
+		windowTicks >= dispatchMinTicks && share > dispatchShare,
+		Anomaly{Value: share, Threshold: dispatchShare,
 			Note: fmt.Sprintf("%d dispatcher ticks of %d in window", dispatch, windowTicks)})
 
 	return out
@@ -238,7 +206,7 @@ func (w *Watchdog) NoteReattach(tick uint64, tag uint32) {
 }
 
 // NoteQuarantine records a tag being quarantined and returns a flap anomaly
-// if the tag has now completed FlapCycles reattach→quarantine cycles.
+// if the tag has now completed flapCycles reattach→quarantine cycles.
 func (w *Watchdog) NoteQuarantine(tick uint64, tag uint32) []Anomaly {
 	st := w.flaps[tag]
 	if st == nil {
@@ -250,11 +218,11 @@ func (w *Watchdog) NoteQuarantine(tick uint64, tag uint32) []Anomaly {
 	}
 	st.quarantines++
 	st.seqAtLastQ = w.reattachSeq
-	if st.cycles >= w.cfg.FlapCycles && st.firedAtCycle < st.cycles {
+	if st.cycles >= flapCycles && st.firedAtCycle < st.cycles {
 		st.firedAtCycle = st.cycles
 		a := Anomaly{
 			Kind: AnomalyQuarantineFlap, Tick: tick, Tag: tag,
-			Value: float64(st.cycles), Threshold: float64(w.cfg.FlapCycles),
+			Value: float64(st.cycles), Threshold: flapCycles,
 			Note: fmt.Sprintf("%d reattach-quarantine cycles", st.cycles),
 		}
 		w.fired = append(w.fired, a)

@@ -11,7 +11,7 @@ func feedN(w *Watchdog, n int, step func(i int) WatchdogSample) []Anomaly {
 }
 
 func TestWatchdogEvictionThrash(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	w := NewWatchdog()
 	// 100 evictions per sample, 90% regenerated: well over ratio 0.75 with
 	// far more than 64 evictions per window.
 	got := feedN(w, 10, func(i int) WatchdogSample {
@@ -51,7 +51,7 @@ func TestWatchdogEvictionThrash(t *testing.T) {
 }
 
 func TestWatchdogThrashBelowThreshold(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	w := NewWatchdog()
 	// Heavy eviction but low regeneration ratio: capacity churn, not thrash.
 	got := feedN(w, 10, func(i int) WatchdogSample {
 		return WatchdogSample{
@@ -64,7 +64,7 @@ func TestWatchdogThrashBelowThreshold(t *testing.T) {
 		t.Fatalf("low-ratio eviction fired %v", got)
 	}
 	// High ratio but too few evictions to matter.
-	w = NewWatchdog(WatchdogConfig{})
+	w = NewWatchdog()
 	got = feedN(w, 10, func(i int) WatchdogSample {
 		return WatchdogSample{
 			Tick:          uint64(i) * 500_000,
@@ -78,7 +78,7 @@ func TestWatchdogThrashBelowThreshold(t *testing.T) {
 }
 
 func TestWatchdogIBLResizeStorm(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	w := NewWatchdog()
 	got := feedN(w, 5, func(i int) WatchdogSample {
 		return WatchdogSample{Tick: uint64(i) * 500_000, IBLResizes: uint64(i) * 3}
 	})
@@ -86,7 +86,7 @@ func TestWatchdogIBLResizeStorm(t *testing.T) {
 		t.Fatalf("anomalies = %v, want one ibl-resize-storm", got)
 	}
 	// A handful of warm-up doublings (the normal case) must not fire.
-	w = NewWatchdog(WatchdogConfig{})
+	w = NewWatchdog()
 	got = feedN(w, 10, func(i int) WatchdogSample {
 		r := uint64(i)
 		if r > 4 {
@@ -100,7 +100,7 @@ func TestWatchdogIBLResizeStorm(t *testing.T) {
 }
 
 func TestWatchdogQuarantineFlap(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	w := NewWatchdog()
 	const tag = 0x8048000
 	// quarantine → reattach → quarantine → reattach → quarantine:
 	// two completed reattach→quarantine cycles → fires at the default 2.
@@ -127,7 +127,7 @@ func TestWatchdogQuarantineFlap(t *testing.T) {
 }
 
 func TestWatchdogDispatchDominance(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	w := NewWatchdog()
 	got := feedN(w, 10, func(i int) WatchdogSample {
 		return WatchdogSample{
 			Tick:          uint64(i) * 500_000,
@@ -138,7 +138,7 @@ func TestWatchdogDispatchDominance(t *testing.T) {
 		t.Fatalf("anomalies = %v, want one dispatch-dominance", got)
 	}
 	// Without phase accounting DispatchTicks stays zero: never fires.
-	w = NewWatchdog(WatchdogConfig{})
+	w = NewWatchdog()
 	got = feedN(w, 10, func(i int) WatchdogSample {
 		return WatchdogSample{Tick: uint64(i) * 500_000}
 	})
@@ -148,17 +148,6 @@ func TestWatchdogDispatchDominance(t *testing.T) {
 }
 
 func TestWatchdogDefaults(t *testing.T) {
-	cfg := NewWatchdog(WatchdogConfig{}).Config()
-	if cfg.Interval == 0 || cfg.Window <= 1 || cfg.ThrashRatio == 0 ||
-		cfg.ThrashMinEvictions == 0 || cfg.ResizeStormCount == 0 ||
-		cfg.FlapCycles == 0 || cfg.DispatchShare == 0 || cfg.DispatchMinTicks == 0 {
-		t.Errorf("defaults not applied: %+v", cfg)
-	}
-	// Explicit values survive defaulting.
-	cfg = NewWatchdog(WatchdogConfig{Interval: 7, Window: 3, FlapCycles: 5}).Config()
-	if cfg.Interval != 7 || cfg.Window != 3 || cfg.FlapCycles != 5 {
-		t.Errorf("explicit values overridden: %+v", cfg)
-	}
 	for k := AnomalyKind(0); k < NumAnomalyKinds; k++ {
 		if k.String() == "unknown" || k.String() == "" {
 			t.Errorf("anomaly kind %d has no name", k)
