@@ -1,7 +1,10 @@
 // Package api is the client-facing surface of the system: the Go rendering
-// of the paper's DynamoRIO client API (Section 3). It re-exports the hook
-// interfaces and per-thread context of the runtime, and adds the helpers a
-// client needs to build custom runtime code transformations:
+// of the paper's DynamoRIO client API (Section 3). It re-exports the client
+// type and per-thread context of the runtime; a client implements any of
+// core's eight hook interfaces, which are Table 3's client routines (init,
+// exit, thread init, thread exit, basic block, trace, fragment deleted and
+// end trace). It adds the helpers a client needs to build custom runtime
+// code transformations:
 //
 //   - instruction inspection and creation come from internal/instr
 //     (one constructor per instruction, implicit operands filled in);
@@ -29,16 +32,9 @@ type (
 
 	EndTraceDecision = core.EndTraceDecision
 
-	// FragmentKind distinguishes basic blocks from traces in the cache
-	// management events below.
+	// FragmentKind distinguishes basic blocks from traces (Context.CacheUsage,
+	// Fragment.Kind).
 	FragmentKind = core.FragmentKind
-
-	// FragmentEvictedHook and CacheResizedHook are the capacity-management
-	// events of the bounded code caches (Section 6): eviction of a
-	// fragment under cache pressure, and adaptive or forced growth of a
-	// cache's capacity.
-	FragmentEvictedHook = core.FragmentEvictedHook
-	CacheResizedHook    = core.CacheResizedHook
 
 	// Observability surface (where-the-cycles-go accounting): phase tick
 	// breakdowns, per-fragment execution profiles and the runtime event

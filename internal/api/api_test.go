@@ -80,6 +80,8 @@ type traceCapture struct {
 	fn func(ctx *api.Context, tag api.Addr, tr *instr.List)
 }
 
+var _ core.TraceHook = (*traceCapture)(nil)
+
 func (traceCapture) Name() string { return "capture" }
 func (c *traceCapture) Trace(ctx *api.Context, tag api.Addr, tr *instr.List) {
 	c.fn(ctx, tag, tr)
@@ -205,6 +207,11 @@ type headMarker struct {
 	lastTag api.Addr
 }
 
+var (
+	_ core.BasicBlockHook = (*headMarker)(nil)
+	_ core.EndTraceHook   = (*headMarker)(nil)
+)
+
 func (*headMarker) Name() string { return "marker" }
 func (h *headMarker) BasicBlock(ctx *api.Context, tag api.Addr, bb *instr.List) {
 	if tag == h.tag {
@@ -298,6 +305,11 @@ type cleanCaller struct {
 	rio *api.RIO
 	fn  func(*api.Context)
 }
+
+var (
+	_ core.InitHook       = (*cleanCaller)(nil)
+	_ core.BasicBlockHook = (*cleanCaller)(nil)
+)
 
 func (c *cleanCaller) Name() string { return "cleancaller" }
 func (c *cleanCaller) Init(r *api.RIO) {

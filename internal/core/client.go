@@ -3,13 +3,15 @@ package core
 import (
 	"repro/internal/instr"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // Client is a DynamoRIO client (Section 3 of the paper): an external module
 // that is coupled with the runtime to jointly operate on the program. A
 // client implements any subset of the optional hook interfaces below, which
-// mirror Table 3's client routines.
+// are Table 3's eight client routines. Evictions, cache and IBL resizes,
+// detaches, re-attaches and watchdog anomalies are not client events: they
+// are observed through the event ring (RIO.Tracer), the span stream
+// (Options.TraceEvents), Stats and RIO.Watchdog.
 type Client interface {
 	// Name identifies the client in statistics and debug output.
 	Name() string
@@ -57,56 +59,6 @@ type TraceHook interface {
 // their own data structures consistent.
 type FragmentDeletedHook interface {
 	FragmentDeleted(ctx *Context, tag machine.Addr)
-}
-
-// FragmentEvictedHook is called when a fragment is evicted from a code
-// cache under capacity pressure (Section 6's FIFO replacement). The deleted
-// event fires too; this one additionally tells capacity-aware clients which
-// cache evicted and lets them distinguish eviction from invalidation.
-type FragmentEvictedHook interface {
-	FragmentEvicted(ctx *Context, tag machine.Addr, kind FragmentKind)
-}
-
-// CacheResizedHook is called when a code cache's capacity grows, either
-// adaptively (the regeneration ratio exceeded its threshold) or because a
-// single fragment outgrew the budget.
-type CacheResizedHook interface {
-	CacheResized(ctx *Context, kind FragmentKind, oldBytes, newBytes int)
-}
-
-// IBLResizedHook is called when the adaptive indirect-branch lookup
-// hashtable doubles: live entries exceeded half the capacity, so the table
-// grew, every entry was rehashed and the lookup routines were re-emitted
-// with the new mask. Entry counts, not bytes — the table is slots.
-type IBLResizedHook interface {
-	IBLResized(ctx *Context, oldEntries, newEntries int)
-}
-
-// ThreadDetachHook is called when a thread detaches from the runtime after
-// an unrecoverable internal failure: its native context has been restored
-// and it will finish execution under plain interpretation. tag is the
-// application PC it resumes at; cause describes the failure.
-type ThreadDetachHook interface {
-	ThreadDetach(ctx *Context, tag machine.Addr, cause string)
-}
-
-// ThreadReattachHook is called when a degraded thread returns to full
-// service after a clean native cool-down — the recovery counterpart of
-// ThreadDetach: earlier internal failures walked the thread down the
-// degradation ladder, a failure-free stretch walked it back up, and it now
-// builds fragments again. tag is the application PC whose dispatch
-// completed the re-attach.
-type ThreadReattachHook interface {
-	ThreadReattach(ctx *Context, tag machine.Addr)
-}
-
-// WatchdogHook is called when the pathology watchdog (Options.Watchdog)
-// fires a detection: eviction thrash, an IBL resize storm, quarantine
-// flapping, or dispatch dominance. The callback runs at a dispatcher safe
-// point with the machine paused; it may read runtime state and steer policy
-// (the adaptive-reaction surface the paper's Section 7 anticipates).
-type WatchdogHook interface {
-	WatchdogAnomaly(r *RIO, a obs.Anomaly)
 }
 
 // EndTraceDecision is a client's answer to dynamorio_end_trace.

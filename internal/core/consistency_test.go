@@ -71,6 +71,11 @@ type invalidator struct {
 	cleanCallID uint32
 }
 
+var (
+	_ core.InitHook       = (*invalidator)(nil)
+	_ core.BasicBlockHook = (*invalidator)(nil)
+)
+
 func (c *invalidator) Name() string { return "invalidator" }
 func (c *invalidator) Init(r *core.RIO) {
 	c.rio = r

@@ -100,11 +100,6 @@ type Context struct {
 	// a regeneration — the signal driving adaptive cache sizing.
 	evicted map[machine.Addr]uint8
 
-	// Deferred eviction/resize client events, delivered with the deleted
-	// events at the next dispatcher safe point.
-	pendingEvicted []evictedEvent
-	pendingResized []resizedEvent
-
 	// inReplace is set while ReplaceFragment emits the new version: a
 	// thread may still be executing old cache code then, so the allocator
 	// must not reuse resident bytes.
@@ -119,10 +114,6 @@ type Context struct {
 	// the load-factor input to adaptive growth and the ceiling guard that
 	// keeps probe chains finite in fixed-size tables.
 	tableLive uint32
-
-	// pendingIBLResized defers IBL-resize client events to the next
-	// dispatcher safe point, like the cache-resize events.
-	pendingIBLResized []iblResizedEvent
 
 	// inlineRestores records each trace inline check's popfd/ECX-restore
 	// pair during trace construction, so the flags-elision pass can rewrite
@@ -159,12 +150,6 @@ type Context struct {
 	// sideline holds work queued by EnqueueSideline, run at the next
 	// dispatcher entry.
 	sideline []func(*Context)
-
-	// xl8Frags is the cache-PC→fragment registry for fault translation:
-	// every fragment whose bytes are still reserved in a cache region,
-	// dead or alive (a thread can fault inside replaced code it is still
-	// executing). Entries leave only when their bytes are reclaimed.
-	xl8Frags []*Fragment
 
 	// detached marks a thread that has fallen back to native execution
 	// after an unrecoverable internal failure; the runtime no longer
@@ -208,27 +193,25 @@ type Context struct {
 // now runs natively.
 func (c *Context) Detached() bool { return c.detached }
 
-// fragmentAt finds the fragment (live or dead-awaiting-reuse) whose emitted
-// bytes contain the cache PC, newest first. Cold path: only walked on
-// faults.
+// fragmentAt finds the fragment whose emitted bytes contain the cache PC
+// among the residents of the region the PC lies in: every fragment whose
+// bytes are still reserved, live or dead-awaiting-reuse (a thread can fault
+// inside replaced code it is still executing). Residents are pairwise
+// disjoint, so at most one matches. Under SharedCache the regions are
+// shared, so a fault inside a fragment another thread built translates too.
+// Cold path: only walked on faults.
 func (c *Context) fragmentAt(pc machine.Addr) *Fragment {
-	for i := len(c.xl8Frags) - 1; i >= 0; i-- {
-		if f := c.xl8Frags[i]; f.contains(pc) {
-			return f
+	for _, reg := range [...]*cacheRegion{c.bb, c.trace} {
+		if pc < reg.base || pc >= reg.max {
+			continue
+		}
+		for _, f := range reg.resident {
+			if f.contains(pc) {
+				return f
+			}
 		}
 	}
 	return nil
-}
-
-// dropXl8 removes a fragment from the translation registry once its bytes
-// are handed back for reuse.
-func (c *Context) dropXl8(f *Fragment) {
-	for i, r := range c.xl8Frags {
-		if r == f {
-			c.xl8Frags = append(c.xl8Frags[:i], c.xl8Frags[i+1:]...)
-			return
-		}
-	}
 }
 
 // Thread returns the simulated thread this context belongs to.
@@ -407,12 +390,6 @@ func (c *Context) register(f *Fragment) {
 	c.tableInsert(f.Tag, f.Entry)
 }
 
-// iblResizedEvent is a deferred IBL-resize client notification.
-type iblResizedEvent struct {
-	oldEntries int
-	newEntries int
-}
-
 // iblSlot returns the simulated address of hashtable slot i.
 func (c *Context) iblSlot(i uint32) machine.Addr {
 	return c.tableBase + machine.Addr(i)*8
@@ -526,8 +503,9 @@ func (c *Context) canGrowIBL() bool {
 // argument: runtime data structures should track the profile as it grows):
 // every live entry is rehashed under the new mask and the lookup routines
 // are re-emitted in place — their fixed stride keeps the routine entry
-// addresses stable, so no linked exit needs re-patching. The modeled cost
-// and a client event mirror the code-cache resize protocol.
+// addresses stable, so no linked exit needs re-patching. The modeled cost,
+// the Stats counter and the ring event mirror the code-cache resize
+// protocol.
 func (c *Context) growIBLTable() {
 	r := c.rio
 	mem := r.M.Mem
@@ -574,8 +552,6 @@ func (c *Context) growIBLTable() {
 	r.event(c.thread.ID, obs.Event{
 		Type: obs.EvIBLResize, Old: int(oldCap), New: int(c.tableMask + 1),
 	})
-	c.pendingIBLResized = append(c.pendingIBLResized,
-		iblResizedEvent{oldEntries: int(oldCap), newEntries: int(c.tableMask + 1)})
 	r.txnCommit(txn)
 }
 

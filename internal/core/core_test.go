@@ -521,6 +521,17 @@ type countingClient struct {
 	sawTags                      map[machine.Addr]bool
 }
 
+var (
+	_ core.InitHook            = (*countingClient)(nil)
+	_ core.ExitHook            = (*countingClient)(nil)
+	_ core.ThreadInitHook      = (*countingClient)(nil)
+	_ core.ThreadExitHook      = (*countingClient)(nil)
+	_ core.BasicBlockHook      = (*countingClient)(nil)
+	_ core.TraceHook           = (*countingClient)(nil)
+	_ core.FragmentDeletedHook = (*countingClient)(nil)
+	_ core.EndTraceHook        = (*countingClient)(nil)
+)
+
 func (c *countingClient) Name() string                 { return "counting" }
 func (c *countingClient) Init(r *core.RIO)             { c.inits++ }
 func (c *countingClient) Exit(r *core.RIO)             { c.exits++ }
@@ -584,6 +595,8 @@ type insertingClient struct {
 	counterAddr machine.Addr
 }
 
+var _ core.BasicBlockHook = (*insertingClient)(nil)
+
 func (c *insertingClient) Name() string { return "inserter" }
 func (c *insertingClient) BasicBlock(ctx *core.Context, tag machine.Addr, bb *instr.List) {
 	// inc dword [counter] — wrapped in pushfd/popfd to preserve the
@@ -623,6 +636,8 @@ type markerClient struct {
 	headTag machine.Addr
 	marked  bool
 }
+
+var _ core.BasicBlockHook = (*markerClient)(nil)
 
 func (c *markerClient) Name() string { return "marker" }
 func (c *markerClient) BasicBlock(ctx *core.Context, tag machine.Addr, bb *instr.List) {
@@ -681,6 +696,8 @@ cont:
 
 type endTraceClient struct{ decision core.EndTraceDecision }
 
+var _ core.EndTraceHook = endTraceClient{}
+
 func (endTraceClient) Name() string { return "ender" }
 func (c endTraceClient) EndTrace(ctx *core.Context, traceTag, nextTag machine.Addr) core.EndTraceDecision {
 	return c.decision
@@ -693,6 +710,8 @@ type replacingClient struct {
 	replaced  bool
 	onTraceCb func(ctx *core.Context, tag machine.Addr, tr *instr.List)
 }
+
+var _ core.TraceHook = (*replacingClient)(nil)
 
 func (c *replacingClient) Name() string { return "replacer" }
 func (c *replacingClient) Trace(ctx *core.Context, tag machine.Addr, tr *instr.List) {
@@ -796,6 +815,11 @@ type cleanCallClient struct {
 	rio   *core.RIO
 	where machine.Addr
 }
+
+var (
+	_ core.InitHook       = (*cleanCallClient)(nil)
+	_ core.BasicBlockHook = (*cleanCallClient)(nil)
+)
 
 func (c *cleanCallClient) Name() string { return "cleancall" }
 func (c *cleanCallClient) Init(r *core.RIO) {

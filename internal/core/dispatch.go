@@ -246,10 +246,9 @@ func (r *RIO) enter(ctx *Context, f *Fragment) (machine.TrapAction, error) {
 	return machine.TrapContinue, nil
 }
 
-// deliverDeleted fires deferred fragment-deleted, fragment-evicted and
-// cache-resized events (the safe point of the replacement scheme). Evicted
-// fragments get both events: deleted keeps client data structures
-// consistent, evicted tells capacity-aware clients why.
+// deliverDeleted fires the deferred fragment-deleted events at the safe
+// point of the replacement scheme, for every fragment that died since the
+// last one: invalidated, replaced or evicted.
 func (r *RIO) deliverDeleted(ctx *Context) {
 	if len(ctx.pendingDeleted) > 0 {
 		dead := ctx.pendingDeleted
@@ -264,39 +263,6 @@ func (r *RIO) deliverDeleted(ctx *Context) {
 			for _, cl := range r.Clients {
 				if h, ok := cl.(FragmentDeletedHook); ok {
 					h.FragmentDeleted(ctx, f.Tag)
-				}
-			}
-		}
-	}
-	if len(ctx.pendingEvicted) > 0 {
-		ev := ctx.pendingEvicted
-		ctx.pendingEvicted = nil
-		for _, e := range ev {
-			for _, cl := range r.Clients {
-				if h, ok := cl.(FragmentEvictedHook); ok {
-					h.FragmentEvicted(ctx, e.tag, e.kind)
-				}
-			}
-		}
-	}
-	if len(ctx.pendingResized) > 0 {
-		rs := ctx.pendingResized
-		ctx.pendingResized = nil
-		for _, e := range rs {
-			for _, cl := range r.Clients {
-				if h, ok := cl.(CacheResizedHook); ok {
-					h.CacheResized(ctx, e.kind, e.oldBytes, e.newBytes)
-				}
-			}
-		}
-	}
-	if len(ctx.pendingIBLResized) > 0 {
-		rs := ctx.pendingIBLResized
-		ctx.pendingIBLResized = nil
-		for _, e := range rs {
-			for _, cl := range r.Clients {
-				if h, ok := cl.(IBLResizedHook); ok {
-					h.IBLResized(ctx, e.oldEntries, e.newEntries)
 				}
 			}
 		}

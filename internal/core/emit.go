@@ -272,8 +272,6 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 		}
 	})
 	ctx.noteFragment(f)
-	r.txnPush(func() { ctx.dropXl8(f) })
-	ctx.xl8Frags = append(ctx.xl8Frags, f)
 	r.noteEmitProfile(ctx, f)
 	r.event(ctx.thread.ID, obs.Event{
 		Type: obs.EvEmit, Tag: uint32(tag), Addr: uint32(base),

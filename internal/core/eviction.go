@@ -113,19 +113,6 @@ func (c *Context) region(kind FragmentKind) *cacheRegion {
 	return c.bb
 }
 
-// evictedEvent and resizedEvent are deferred client notifications, delivered
-// at the next dispatcher safe point alongside fragment-deleted events.
-type evictedEvent struct {
-	tag  machine.Addr
-	kind FragmentKind
-}
-
-type resizedEvent struct {
-	kind     FragmentKind
-	oldBytes int
-	newBytes int
-}
-
 // allocCache reserves n bytes in the basic-block or trace cache, evicting
 // the oldest resident fragments as needed. Reuse is safe because fragment
 // construction only happens from the dispatcher, when the thread is outside
@@ -233,7 +220,6 @@ func (c *Context) reclaim(reg *cacheRegion, f *Fragment) {
 	if c.selUnlinked == f {
 		c.selUnlinked = nil
 	}
-	c.dropXl8(f)
 }
 
 // evict removes a live fragment from the cache under capacity pressure: the
@@ -279,7 +265,6 @@ func (c *Context) evict(f *Fragment) {
 		Type: obs.EvEvict, Tag: uint32(f.Tag), Addr: uint32(f.Entry),
 		Kind: f.Kind.String(), Size: f.Size,
 	})
-	c.pendingEvicted = append(c.pendingEvicted, evictedEvent{tag: f.Tag, kind: f.Kind})
 
 	reg := c.region(f.Kind)
 	r.hists.Observe(obs.MetricEvictScrubBytes, uint64(f.alignedSize()))
@@ -324,8 +309,7 @@ func (c *Context) scrubEvicted(f *Fragment) {
 }
 
 // growRegion raises a region's capacity to at least newCap bytes,
-// clamped to the per-thread address reservation, and queues the client
-// resize event.
+// clamped to the per-thread address reservation.
 func (c *Context) growRegion(reg *cacheRegion, newCap int) {
 	newCap = (newCap + 15) &^ 15
 	if machine.Addr(newCap) > reg.max-reg.base {
@@ -340,7 +324,6 @@ func (c *Context) growRegion(reg *cacheRegion, newCap int) {
 	c.rio.event(c.thread.ID, obs.Event{
 		Type: obs.EvResize, Kind: reg.kind.String(), Old: old, New: newCap,
 	})
-	c.pendingResized = append(c.pendingResized, resizedEvent{kind: reg.kind, oldBytes: old, newBytes: newCap})
 }
 
 // killFragment is the single path to fragment death: it severs every link in

@@ -5,34 +5,41 @@ package core_test
 // trace of the victim — no outgoing link and no IBL hashtable entry may
 // target freed cache memory — and the freed bytes must actually be reused
 // (the cache stays within its byte budget no matter how much code the
-// workload churns through). The eviction and resize client hooks fire at
-// dispatcher safe points, when the thread is outside the cache, so a client
-// can walk the full structures there; Context.CheckCacheInvariants is that
-// walk.
+// workload churns through). Every eviction kills its victim, and the
+// victim's fragment-deleted event fires at the next dispatcher safe point,
+// when the thread is outside the cache, so a client can walk the full
+// structures there; Context.CheckCacheInvariants is that walk. The
+// evictions and resizes themselves are observed where the runtime reports
+// them: the event ring and Stats.
 
 import (
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
 // invariantChecker is a client that audits the runtime's cache data
-// structures on every eviction and resize event.
+// structures on every fragment-deleted event, and drains the event ring
+// there, counting events by type.
 type invariantChecker struct {
-	t         *testing.T
-	evictions int
-	resizes   int
-	failed    bool
-	ctx       *core.Context // last context seen, for end-of-run assertions
+	t       *testing.T
+	deleted uint64
+	events  map[obs.EventType]uint64
+	failed  bool
+	ctx     *core.Context // last context seen, for end-of-run assertions
 }
+
+var _ core.FragmentDeletedHook = (*invariantChecker)(nil)
 
 func (c *invariantChecker) Name() string { return "invariant-checker" }
 
 func (c *invariantChecker) check(ctx *core.Context, event string) {
 	c.ctx = ctx
+	c.drain(ctx.RIO())
 	if c.failed {
 		return // one violation is enough; don't flood the log
 	}
@@ -42,14 +49,19 @@ func (c *invariantChecker) check(ctx *core.Context, event string) {
 	}
 }
 
-func (c *invariantChecker) FragmentEvicted(ctx *core.Context, tag machine.Addr, kind core.FragmentKind) {
-	c.evictions++
-	c.check(ctx, "eviction")
+// drain empties the runtime's event ring into the per-type counts.
+func (c *invariantChecker) drain(r *core.RIO) {
+	if c.events == nil {
+		c.events = map[obs.EventType]uint64{}
+	}
+	for _, ev := range r.Tracer().Drain() {
+		c.events[ev.Type]++
+	}
 }
 
-func (c *invariantChecker) CacheResized(ctx *core.Context, kind core.FragmentKind, oldBytes, newBytes int) {
-	c.resizes++
-	c.check(ctx, "resize")
+func (c *invariantChecker) FragmentDeleted(ctx *core.Context, tag machine.Addr) {
+	c.deleted++
+	c.check(ctx, "fragment deleted")
 }
 
 // invariantWorkloads is the subset of the suite the property tests run:
@@ -70,8 +82,10 @@ func invariantWorkloads(t *testing.T) []*workload.Benchmark {
 }
 
 // TestEvictionInvariants runs pressured configurations with a client that
-// re-validates the link graph, byte accounting and IBL hashtable after every
-// single eviction and resize.
+// re-validates the link graph, byte accounting and IBL hashtable at every
+// fragment-deleted event, which follows every single eviction. The event
+// ring, drained there, must carry exactly one evict, resize and IBL-resize
+// event per eviction, cache resize and IBL resize Stats counted.
 func TestEvictionInvariants(t *testing.T) {
 	configs := evictionConfigs(t)
 	for _, b := range invariantWorkloads(t) {
@@ -84,20 +98,39 @@ func TestEvictionInvariants(t *testing.T) {
 					continue
 				}
 				chk := &invariantChecker{t: t}
+				o := cfg.Opts()
+				o.EventRing = 4096
 				m := machine.New(machine.PentiumIV())
-				r := core.New(m, b.Image(), cfg.Opts(), nil, chk)
+				r := core.New(m, b.Image(), o, nil, chk)
 				if err := r.Run(oracle.RunLimit); err != nil {
 					t.Fatalf("%s: %v", cfg.Name, err)
 				}
-				if chk.evictions > 0 {
-					sawEvictions = true
-				}
-				if uint64(chk.evictions) != r.Stats.Evictions {
-					t.Errorf("%s: client saw %d evictions, stats counted %d",
-						cfg.Name, chk.evictions, r.Stats.Evictions)
-				}
 				if chk.ctx != nil {
 					chk.check(chk.ctx, "run end")
+				}
+				chk.drain(r)
+				if d := r.Tracer().Dropped(); d != 0 {
+					t.Errorf("%s: the ring dropped %d events between safe points", cfg.Name, d)
+				}
+				if chk.events[obs.EvEvict] > 0 {
+					sawEvictions = true
+				}
+				if chk.deleted < r.Stats.Evictions {
+					t.Errorf("%s: client audited %d deletions, stats counted %d evictions",
+						cfg.Name, chk.deleted, r.Stats.Evictions)
+				}
+				for _, c := range []struct {
+					ev    obs.EventType
+					stats uint64
+				}{
+					{obs.EvEvict, r.Stats.Evictions},
+					{obs.EvResize, r.Stats.CacheResizes},
+					{obs.EvIBLResize, r.Stats.IBLResizes},
+				} {
+					if got := chk.events[c.ev]; got != c.stats {
+						t.Errorf("%s: ring carried %d %s events, stats counted %d",
+							cfg.Name, got, c.ev, c.stats)
+					}
 				}
 			}
 			if !sawEvictions {
@@ -125,10 +158,10 @@ func TestEvictionReusesFreedSpace(t *testing.T) {
 			if err := r.Run(oracle.RunLimit); err != nil {
 				t.Fatal(err)
 			}
-			if chk.ctx == nil {
-				t.Skip("workload fit without a single eviction or resize event")
+			if r.Stats.Evictions == 0 && r.Stats.CacheResizes == 0 {
+				t.Skip("workload fit without a single eviction or resize")
 			}
-			live, cap := chk.ctx.CacheUsage(core.KindBasicBlock)
+			live, cap := r.ContextOf(m.Threads[0]).CacheUsage(core.KindBasicBlock)
 			if cap != budget {
 				t.Errorf("bb cache capacity = %d, want the fixed %d budget", cap, budget)
 			}

@@ -150,8 +150,7 @@ func (r *RIO) detach(ctx *Context, tag machine.Addr, cause any) (machine.TrapAct
 	statInc(&r.Stats.Detaches)
 	t := ctx.thread
 	t.DisarmWatch() // no native-window bookkeeping for a detached thread
-	reason := fmt.Sprint(cause)
-	r.event(t.ID, obs.Event{Type: obs.EvDetach, Tag: uint32(tag), Note: reason})
+	r.event(t.ID, obs.Event{Type: obs.EvDetach, Tag: uint32(tag), Note: fmt.Sprint(cause)})
 	t.CPU.EIP = tag
 	pending := ctx.pendingSignals
 	ctx.pendingSignals = nil
@@ -162,10 +161,5 @@ func (r *RIO) detach(ctx *Context, tag machine.Addr, cause any) (machine.TrapAct
 	// fragments die, deferred deletion events fire (there will be no later
 	// safe point), the allocators and IBL table reset.
 	r.reclaimDetached(ctx)
-	for _, cl := range r.Clients {
-		if h, hok := cl.(ThreadDetachHook); hok {
-			h.ThreadDetach(ctx, tag, reason)
-		}
-	}
 	return machine.TrapContinue, nil
 }

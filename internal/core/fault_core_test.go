@@ -8,6 +8,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/oracle"
 )
 
 // These tests check the fault-transparency contract of the paper's Section
@@ -193,6 +195,70 @@ handler:
 	}
 }
 
+// TestFaultInSharedCacheFragmentOfAnotherThread faults inside a fragment
+// one thread built and another executes: under SharedCache the threads share
+// one region pair, so the faulting thread's translation must find fragments
+// it never emitted itself. Main warms a divide routine up with 100 calls,
+// then spawns a worker that registers a handler and divides by zero in the
+// same routine; the handler prints the fault kind and releases main.
+func TestFaultInSharedCacheFragmentOfAnotherThread(t *testing.T) {
+	img := imgOf(t, `
+main:
+    mov esi, 100
+warm:
+    mov eax, 7
+    mov ebx, 1
+    call divide
+    dec esi
+    jnz warm
+    mov eax, 5
+    mov ebx, worker
+    mov ecx, 0x200000
+    int 0x80
+wait:
+    mov eax, [done]
+    test eax, eax
+    jz wait
+`+exitSnippet+`
+divide:
+    xor edx, edx
+    div ebx
+    ret
+worker:
+    mov eax, 7
+    mov ebx, handler
+    int 0x80
+    mov eax, 7
+    xor ebx, ebx
+    call divide
+handler:
+    mov eax, 3
+    mov ebx, [esp]
+    int 0x80
+    mov dword [done], 1
+    mov eax, 1
+    mov ebx, 0
+    int 0x80
+.org 0x9000
+done: .word 0
+`)
+	native := runNative(t, img)
+	if got := native.OutputString(); got != "1" {
+		t.Fatalf("native output = %q, want the divide fault kind 1", got)
+	}
+	for _, shared := range []bool{false, true} {
+		opts := core.Default()
+		opts.SharedCache = shared
+		m, r := runUnder(t, img, opts)
+		if msg := oracle.Mismatch(oracle.Capture(native), oracle.Capture(m)); msg != "" {
+			t.Errorf("SharedCache=%v: diverged from native:\n%s", shared, msg)
+		}
+		if r.Stats.FaultsTranslated == 0 {
+			t.Errorf("SharedCache=%v: the fault in cache code was never translated", shared)
+		}
+	}
+}
+
 // TestFaultSMCEvictionFIFO is the three-way interaction test: a bounded
 // FIFO-evicting cache under pressure, self-modifying code invalidating
 // fragments, and a handled fault at the end. Output and fault context must
@@ -271,20 +337,18 @@ handler:
 	}
 }
 
-// detachClient records detach and re-attach notifications.
-type detachClient struct {
-	detaches   int
-	reattaches int
-	cause      string
-}
-
-func (c *detachClient) Name() string { return "detach-watch" }
-func (c *detachClient) ThreadDetach(ctx *core.Context, tag machine.Addr, cause string) {
-	c.detaches++
-	c.cause = cause
-}
-func (c *detachClient) ThreadReattach(ctx *core.Context, tag machine.Addr) {
-	c.reattaches++
+// ringCounts drains a runtime's event ring (Options.EventRing) and counts
+// its events by type, failing the test if the ring overwrote any.
+func ringCounts(t *testing.T, r *core.RIO) map[obs.EventType]int {
+	t.Helper()
+	n := map[obs.EventType]int{}
+	for _, ev := range r.Tracer().Drain() {
+		n[ev.Type]++
+	}
+	if d := r.Tracer().Dropped(); d != 0 {
+		t.Errorf("event ring dropped %d events", d)
+	}
+	return n
 }
 
 // TestRecoveryOnInternalFailure injects an internal runtime failure at a
@@ -305,11 +369,11 @@ outer:
 	native := runNative(t, img)
 	want := native.OutputString()
 
-	cl := &detachClient{}
 	opts := core.Default()
 	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 6}) // fail partway through the printing loop
+	opts.EventRing = 4096
 	m := machine.New(machine.PentiumIV())
-	r := core.New(m, img, opts, nil, cl)
+	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +386,9 @@ outer:
 	if r.Stats.NativeWindows == 0 {
 		t.Error("recovery should run the failing tag in a native window")
 	}
-	if r.Stats.Detaches != 0 || cl.detaches != 0 {
-		t.Errorf("Detaches = %d (client %d), want 0: a clean rollback must not detach",
-			r.Stats.Detaches, cl.detaches)
+	if n := ringCounts(t, r)[obs.EvDetach]; r.Stats.Detaches != 0 || n != 0 {
+		t.Errorf("Detaches = %d (ring %d), want 0: a clean rollback must not detach",
+			r.Stats.Detaches, n)
 	}
 	if r.ContextOf(m.Threads[0]).Detached() {
 		t.Error("context marked detached after a recoverable failure")
@@ -360,11 +424,11 @@ inner:
 	native := runNative(t, img)
 	want := native.OutputString()
 
-	cl := &detachClient{}
 	opts := core.Default()
 	opts.Chaos = dispatchFaults(chaos.Trigger{Nth: 4, MaxFires: 15}) // a burst (hits 4–18), then quiet
+	opts.EventRing = 4096
 	m := machine.New(machine.PentiumIV())
-	r := core.New(m, img, opts, nil, cl)
+	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +438,9 @@ inner:
 	if r.Stats.DegradeLevel == 0 {
 		t.Error("persistent failures should walk the thread down the ladder")
 	}
-	if r.Stats.Reattaches == 0 || cl.reattaches == 0 {
-		t.Errorf("Reattaches = %d (client %d), want > 0 after the injector went quiet",
-			r.Stats.Reattaches, cl.reattaches)
+	if n := ringCounts(t, r)[obs.EvReattach]; r.Stats.Reattaches == 0 || uint64(n) != r.Stats.Reattaches {
+		t.Errorf("Reattaches = %d (ring %d), want > 0 after the injector went quiet, one event each",
+			r.Stats.Reattaches, n)
 	}
 	if r.Stats.Detaches != 0 {
 		t.Errorf("Detaches = %d, want 0: the ladder replaces one-way detach", r.Stats.Detaches)

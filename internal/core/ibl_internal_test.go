@@ -12,6 +12,7 @@ import (
 	"repro/internal/ia32"
 	"repro/internal/instr"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -222,6 +223,7 @@ func TestIBLBackwardShiftRemove(t *testing.T) {
 func TestIBLAdaptiveGrowth(t *testing.T) {
 	r, ctx := newIBLTestRIO(t, func(o *Options) {
 		o.IBLTableBits, o.IBL = 6, IBLOpenAdaptive
+		o.EventRing = 64
 	})
 	entriesBefore := ctx.iblEntry
 	tags := make([]machine.Addr, 0, 33)
@@ -270,8 +272,14 @@ func TestIBLAdaptiveGrowth(t *testing.T) {
 			t.Fatalf("tag %#x unreachable after rehash", tag)
 		}
 	}
-	if len(ctx.pendingIBLResized) == 0 {
-		t.Error("no deferred IBLResized client event queued")
+	var resizes []obs.Event
+	for _, ev := range r.Tracer().Drain() {
+		if ev.Type == obs.EvIBLResize {
+			resizes = append(resizes, ev)
+		}
+	}
+	if len(resizes) != 1 || resizes[0].Old != 64 || resizes[0].New != 128 {
+		t.Errorf("EvIBLResize ring events = %+v, want one 64 -> 128", resizes)
 	}
 }
 

@@ -177,7 +177,7 @@ type Options struct {
 	// default thresholds: the dispatcher feeds it counter snapshots on a
 	// tick budget and it fires typed detections — eviction thrash, IBL
 	// resize storms, quarantine flapping, dispatch dominance — surfaced as
-	// EvAnomaly ring events, the WatchdogHook client callback and
+	// EvAnomaly ring events, Watchdog().Anomalies() and
 	// Stats.Anomalies. Detection never charges simulated time.
 	Watchdog bool
 }

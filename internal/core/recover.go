@@ -228,7 +228,8 @@ func (r *RIO) noteFailure(ctx *Context, tag machine.Addr, cause string) {
 // maybeStepUp walks the thread one rung back up the ladder after a clean
 // cool-down (reattachCooldown dispatch entries without a failure). Reaching
 // HealthFull is a re-attach: the thread is back in full service, its
-// backed-off (non-quarantined) tags are forgiven, and clients are told.
+// backed-off (non-quarantined) tags are forgiven, and an EvReattach event
+// is recorded.
 func (r *RIO) maybeStepUp(ctx *Context, tag machine.Addr) {
 	if ctx.health == HealthFull {
 		return
@@ -253,11 +254,6 @@ func (r *RIO) maybeStepUp(ctx *Context, tag machine.Addr) {
 	for t, q := range ctx.quar {
 		if !q.quarantined {
 			delete(ctx.quar, t)
-		}
-	}
-	for _, cl := range r.Clients {
-		if h, ok := cl.(ThreadReattachHook); ok {
-			h.ThreadReattach(ctx, tag)
 		}
 	}
 }
@@ -323,11 +319,10 @@ func (r *RIO) onWindowEnd(t *machine.Thread) (machine.TrapAction, error) {
 // reclaimDetached tears down a detached thread's cache state: every
 // fragment dies (and its deletion event fires now — the thread will never
 // reach another dispatcher safe point), the IBL table and region allocators
-// are reset, and the translation registry is dropped. Best-effort: a detach
-// can follow a failed rollback audit, so the structures may be arbitrarily
-// corrupt — the thread runs natively regardless, and cache memory is never
-// handed back to the application, so abandoning the teardown midway is
-// safe.
+// are reset. Best-effort: a detach can follow a failed rollback audit, so
+// the structures may be arbitrarily corrupt — the thread runs natively
+// regardless, and cache memory is never handed back to the application, so
+// abandoning the teardown midway is safe.
 func (r *RIO) reclaimDetached(ctx *Context) {
 	r.chaosSuppress++
 	defer func() { r.chaosSuppress-- }()
@@ -347,7 +342,6 @@ func (r *RIO) reclaimDetached(ctx *Context) {
 			}
 			ctx.bb.reset()
 			ctx.trace.reset()
-			ctx.xl8Frags = ctx.xl8Frags[:0]
 			ctx.selecting = false
 			ctx.selUnlinked = nil
 			ctx.lastExit = nil

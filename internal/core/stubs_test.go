@@ -22,6 +22,11 @@ type stubClient struct {
 	installed   bool
 }
 
+var (
+	_ core.InitHook       = (*stubClient)(nil)
+	_ core.BasicBlockHook = (*stubClient)(nil)
+)
+
 func (c *stubClient) Name() string { return "stubclient" }
 
 func (c *stubClient) Init(r *core.RIO) {

@@ -137,9 +137,9 @@ func (r *RIO) maybeWatchdog(ctx *Context) {
 	}))
 }
 
-// fireAnomalies surfaces watchdog detections: the Stats counter, an
-// EvAnomaly ring event (which span export lowers to an instant), and the
-// WatchdogHook client callback.
+// fireAnomalies surfaces watchdog detections: the Stats counter and an
+// EvAnomaly ring event (which span export lowers to an instant). The
+// watchdog itself keeps every detection (Watchdog().Anomalies()).
 func (r *RIO) fireAnomalies(ctx *Context, anomalies []obs.Anomaly) {
 	for _, a := range anomalies {
 		statInc(&r.Stats.Anomalies)
@@ -149,11 +149,6 @@ func (r *RIO) fireAnomalies(ctx *Context, anomalies []obs.Anomaly) {
 			Kind: a.Kind.String(),
 			Note: a.Note,
 		})
-		for _, cl := range r.Clients {
-			if h, ok := cl.(WatchdogHook); ok {
-				h.WatchdogAnomaly(r, a)
-			}
-		}
 	}
 }
 

@@ -20,19 +20,10 @@ import (
 	"repro/internal/workload"
 )
 
-// anomalyClient collects watchdog detections through the client hook.
-type anomalyClient struct {
-	anomalies []obs.Anomaly
-}
-
-func (c *anomalyClient) Name() string { return "anomaly-watch" }
-func (c *anomalyClient) WatchdogAnomaly(r *core.RIO, a obs.Anomaly) {
-	c.anomalies = append(c.anomalies, a)
-}
-
-func (c *anomalyClient) byKind(k obs.AnomalyKind) int {
+// anomaliesOfKind counts the detections of one kind.
+func anomaliesOfKind(as []obs.Anomaly, k obs.AnomalyKind) int {
 	n := 0
-	for _, a := range c.anomalies {
+	for _, a := range as {
 		if a.Kind == k {
 			n++
 		}
@@ -227,17 +218,16 @@ outer:
 // TestWatchdogDetectsEvictionThrash forces genuine cache thrash — a cache
 // one fragment wide, so every rebuild regenerates an evicted tag — and
 // requires the watchdog to fire through the full runtime path: counter,
-// ring event, client hook.
+// ring event, the watchdog's detection list.
 func TestWatchdogDetectsEvictionThrash(t *testing.T) {
 	b := workload.ByName("crafty")
 	if b == nil {
 		t.Fatal("crafty not in suite")
 	}
-	cl := &anomalyClient{}
 	opts := telemetryOpts()
 	opts.BBCacheSize, opts.TraceCacheSize = 256, 256
 	m := machine.New(machine.PentiumIV())
-	r := core.New(m, b.Image(), opts, nil, cl)
+	r := core.New(m, b.Image(), opts, nil)
 	// Thrash makes the run slow by design; stopping at the limit is fine —
 	// the pathology only needs to persist long enough to be seen.
 	if err := r.Run(telemetryRunLimit); err != nil && err != machine.ErrLimit {
@@ -246,9 +236,10 @@ func TestWatchdogDetectsEvictionThrash(t *testing.T) {
 	if r.Stats.Evictions == 0 {
 		t.Fatal("one-fragment caches produced no evictions")
 	}
-	if n := cl.byKind(obs.AnomalyEvictionThrash); n == 0 {
+	anomalies := r.Watchdog().Anomalies()
+	if n := anomaliesOfKind(anomalies, obs.AnomalyEvictionThrash); n == 0 {
 		t.Errorf("no eviction-thrash detection (anomalies: %v; %d evictions, %d regens)",
-			cl.anomalies, r.Stats.Evictions, r.Stats.Regenerations)
+			anomalies, r.Stats.Evictions, r.Stats.Regenerations)
 	}
 	if r.Stats.Anomalies == 0 {
 		t.Error("Stats.Anomalies stayed zero")
@@ -256,8 +247,8 @@ func TestWatchdogDetectsEvictionThrash(t *testing.T) {
 	// (The EvAnomaly ring event is asserted in the flap test below: here
 	// the thrashing run floods the ring and wraps the anomaly out long
 	// before the final drain.)
-	if uint64(len(cl.anomalies)) != r.Stats.Anomalies {
-		t.Errorf("client saw %d anomalies, Stats.Anomalies = %d", len(cl.anomalies), r.Stats.Anomalies)
+	if uint64(len(anomalies)) != r.Stats.Anomalies {
+		t.Errorf("watchdog kept %d anomalies, Stats.Anomalies = %d", len(anomalies), r.Stats.Anomalies)
 	}
 }
 
@@ -277,7 +268,6 @@ inner:
     dec ecx
     jnz outer
 `+exitSnippet)
-	cl := &anomalyClient{}
 	opts := telemetryOpts()
 	// A burst of nine failures (dispatch hits 4–12) every 60 dispatches,
 	// quiet between.
@@ -287,16 +277,20 @@ inner:
 	}
 	opts.Chaos = dispatchFaults(bursts...)
 	m := machine.New(machine.PentiumIV())
-	r := core.New(m, img, opts, nil, cl)
+	r := core.New(m, img, opts, nil)
 	if err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats.Reattaches == 0 {
 		t.Fatal("no re-attaches: the flap scenario never formed")
 	}
-	if n := cl.byKind(obs.AnomalyQuarantineFlap); n == 0 {
+	anomalies := r.Watchdog().Anomalies()
+	if n := anomaliesOfKind(anomalies, obs.AnomalyQuarantineFlap); n == 0 {
 		t.Errorf("no quarantine-flap detection (anomalies: %v; %d recoveries, %d reattaches)",
-			cl.anomalies, r.Stats.Recoveries, r.Stats.Reattaches)
+			anomalies, r.Stats.Recoveries, r.Stats.Reattaches)
+	}
+	if uint64(len(anomalies)) != r.Stats.Anomalies {
+		t.Errorf("watchdog kept %d anomalies, Stats.Anomalies = %d", len(anomalies), r.Stats.Anomalies)
 	}
 	anomalyEvents := 0
 	for _, ev := range r.Tracer().Drain() {

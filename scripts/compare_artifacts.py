@@ -6,7 +6,7 @@ Usage:
     python3 scripts/compare_artifacts.py OLD_DIR NEW_DIR
 
 For each of BENCH_figure5.json, BENCH_cachesweep.json, BENCH_iblsweep.json and
-BENCH_profile.json present in both directories, every measured value of the
+BENCH_profile.json, every measured value of the
 old file is looked up at its place in the new one and compared with ==
 (floats included). Either side may use either the old per-experiment schemas
 (drbench/figure5/v1, cachesweep/v1, iblsweep/v1, profile/v1) or the one table
@@ -16,7 +16,8 @@ BENCH_faultstorm.json, BENCH_chaosstorm.json (drbench/diff/v1) and
 BENCH_telemetry.json (drbench/telemetry/v1) are compared as whole documents,
 every leaf at its JSON path. The header (schema, workers, wall clock) is
 skipped everywhere. Prints each differing or missing field, then one summary
-line per file; exits 1 on any difference.
+line per file; exits 1 on any difference, and on any of the seven files
+missing from either directory.
 """
 
 import json
@@ -131,7 +132,10 @@ def main(old_dir, new_dir):
     differing = 0
     for name in FILES:
         a, b = os.path.join(old_dir, name), os.path.join(new_dir, name)
-        if not (os.path.exists(a) and os.path.exists(b)):
+        missing = [p for p in (a, b) if not os.path.exists(p)]
+        if missing:
+            print("%s: missing (%s)" % (name, ", ".join(missing)))
+            differing += 1
             continue
         sa, old = flatten(a)
         sb, new = flatten(b)
