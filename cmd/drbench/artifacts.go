@@ -98,10 +98,10 @@ func diffJSON(s *harness.Suite, outs []oracle.Outcome, checkErr error, workers i
 }
 
 // tableFile is the file layout of every published table (-table1, -figure5,
-// -cachesweep, -iblsweep, -profile): the suite the table reads, its columns
-// (points), one row per benchmark with the normalized time and simulated
-// cycles of each column plus the cell behind them, and the geometric-mean
-// lines. Every cell has passed the full oracle.
+// -cachesweep, -iblsweep, -profile, -telemetry): the suite the table reads,
+// its columns (points), one row per benchmark with the normalized time and
+// simulated cycles of each column plus the cell behind them, and the
+// geometric-mean lines. Every cell has passed the full oracle.
 type tableFile struct {
 	header
 	Experiment           string      `json:"experiment"`
@@ -126,16 +126,20 @@ type rowJSON struct {
 
 // cellJSON is one run: its ticks, nonzero runtime counters and, for a
 // profiled run, the phase breakdown (summing exactly to ticks), the number
-// of profiled fragments, the hottest ones and the drained event counts.
+// of profiled fragments, the hottest ones and the drained event counts; for
+// a run with the watchdog on, the distribution-metric digests and any
+// watchdog detections.
 type cellJSON struct {
-	Ticks         uint64                `json:"ticks"`
-	NativeTicks   uint64                `json:"native_ticks"`
-	Stats         map[string]uint64     `json:"stats"`
-	PhaseTicks    map[string]uint64     `json:"phase_ticks,omitempty"`
-	Fragments     int                   `json:"fragments,omitempty"`
-	Top           []obs.FragmentProfile `json:"top,omitempty"`
-	Events        int                   `json:"events,omitempty"`
-	EventsDropped uint64                `json:"events_dropped,omitempty"`
+	Ticks         uint64                 `json:"ticks"`
+	NativeTicks   uint64                 `json:"native_ticks"`
+	Stats         map[string]uint64      `json:"stats"`
+	PhaseTicks    map[string]uint64      `json:"phase_ticks,omitempty"`
+	Fragments     int                    `json:"fragments,omitempty"`
+	Top           []obs.FragmentProfile  `json:"top,omitempty"`
+	Events        int                    `json:"events,omitempty"`
+	EventsDropped uint64                 `json:"events_dropped,omitempty"`
+	Histograms    []obs.HistogramSummary `json:"histograms,omitempty"`
+	Anomalies     []obs.Anomaly          `json:"anomalies,omitempty"`
 }
 
 type meansJSON struct {
@@ -167,6 +171,8 @@ func tableJSON(name string, r *suiteRun, g harness.Grid, topN, workers int) tabl
 				Fragments:     len(o.Profiles),
 				Events:        len(o.Events),
 				EventsDropped: o.EventsDropped,
+				Histograms:    o.Histograms,
+				Anomalies:     o.Anomalies,
 			}
 			if o.Phases != nil {
 				c.PhaseTicks = o.Phases.Map()
@@ -175,59 +181,6 @@ func tableJSON(name string, r *suiteRun, g harness.Grid, topN, workers int) tabl
 			row.Cells = append(row.Cells, c)
 		}
 		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-// telemetryFile is the file layout of -telemetry -json: per benchmark the
-// distribution-metric digests, any watchdog detections (zero on a healthy
-// suite — the telemetry suite's coverage check fails on any), and the
-// runtime counters behind them. Every row is the telemetry column of the
-// telemetry suite and has passed the full oracle against native.
-type telemetryFile struct {
-	header
-	Metrics   []string           `json:"metrics"`
-	Anomalies uint64             `json:"anomalies"`
-	Rows      []telemetryRowJSON `json:"rows"`
-}
-
-type telemetryRowJSON struct {
-	Benchmark  string  `json:"benchmark"`
-	Class      string  `json:"class"`
-	Ticks      uint64  `json:"ticks"`
-	Normalized float64 `json:"normalized"`
-
-	Histograms []obs.HistogramSummary `json:"histograms"`
-	Anomalies  []obs.Anomaly          `json:"anomalies,omitempty"`
-
-	BlocksBuilt uint64 `json:"blocks_built"`
-	TracesBuilt uint64 `json:"traces_built"`
-	Evictions   uint64 `json:"evictions"`
-	IBLMisses   uint64 `json:"ibl_misses"`
-	Recoveries  uint64 `json:"recoveries"`
-}
-
-func telemetryJSON(g harness.Grid, workers int, elapsed time.Duration) telemetryFile {
-	out := telemetryFile{
-		header:  newHeader("drbench/telemetry/v1", workers, elapsed),
-		Metrics: obs.MetricNames(),
-	}
-	for _, r := range g.Rows {
-		o := r.Cells[0]
-		out.Anomalies += uint64(len(o.Anomalies))
-		out.Rows = append(out.Rows, telemetryRowJSON{
-			Benchmark:   r.Case,
-			Class:       r.Class.String(),
-			Ticks:       uint64(o.Ticks),
-			Normalized:  o.Normalized(),
-			Histograms:  o.Histograms,
-			Anomalies:   o.Anomalies,
-			BlocksBuilt: o.Stats.BlocksBuilt,
-			TracesBuilt: o.Stats.TracesBuilt,
-			Evictions:   o.Stats.Evictions,
-			IBLMisses:   o.Stats.IBLMisses,
-			Recoveries:  o.Stats.Recoveries,
-		})
 	}
 	return out
 }

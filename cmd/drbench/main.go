@@ -33,12 +33,11 @@
 // over verify, the cache sweep over cachesweep, the IBL sweep over ibl, the
 // profile over profile and the telemetry report over telemetry. Each suite
 // runs at most once per invocation, so -table1 -figure5 -diff verify share
-// one verify run, and a table fails whenever its suite's check does. Tables write the drbench/table/v1 JSON
-// layout (the telemetry report drbench/telemetry/v1) and -diff suites
-// drbench/diff/v1; with several experiments and -json, each writes
-// <path>.<experiment>.json, where a -diff report whose suite shares a
-// selected table's name (cachesweep, profile, telemetry) is the experiment
-// <suite>-diff.
+// one verify run, and a table fails whenever its suite's check does. Tables
+// write the drbench/table/v1 JSON layout and -diff suites drbench/diff/v1;
+// with several experiments and -json, each writes <path>.<experiment>.json,
+// where a -diff report whose suite shares a selected table's name
+// (cachesweep, profile, telemetry) is the experiment <suite>-diff.
 //
 // See EXPERIMENTS.md for the paper-versus-measured discussion.
 package main
@@ -50,6 +49,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -247,11 +247,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			fmt.Fprintln(stdout, v.format(g))
-			var doc any = tableJSON(v.name, r, g, *topN, *parallel)
-			if v.name == "telemetry" {
-				doc = telemetryJSON(g, *parallel, r.elapsed)
-			}
-			if err := save(path, len(g.Rows), r.elapsed, doc); err != nil {
+			if err := save(path, len(g.Rows), r.elapsed, tableJSON(v.name, r, g, *topN, *parallel)); err != nil {
 				return err
 			}
 			if v.name == "profile" && *traceOut != "" {
@@ -383,11 +379,13 @@ func requireResults(err error, n int) error {
 	return err
 }
 
+// parseSeeds parses the -seeds list; each field must be a whole decimal
+// integer.
 func parseSeeds(s string) ([]int64, error) {
 	var seeds []int64
 	for _, part := range strings.Split(s, ",") {
-		var v int64
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil {
+		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad seed %q", part)
 		}
 		seeds = append(seeds, v)

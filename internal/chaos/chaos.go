@@ -12,7 +12,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 )
 
@@ -262,13 +261,4 @@ func Storm(seed int64) []Trigger {
 		{Site: SiteBlockBuild, Nth: uint64(1 + rng.Intn(3)), MaxFires: 10},
 		{Site: SiteEmit, Nth: uint64(2 + rng.Intn(4)), MaxFires: 4},
 	}
-}
-
-// FormatTriggers renders a trigger set compactly for logs.
-func FormatTriggers(ts []Trigger) string {
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, " ")
 }

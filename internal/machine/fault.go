@@ -80,20 +80,18 @@ type FaultInterceptor func(t *Thread, f *Fault, handler Addr) bool
 func (m *Machine) SetFaultInterceptor(fn FaultInterceptor) { m.interceptFault = fn }
 
 // faultInjection is one scheduled deterministic fault: raise Kind when
-// thread Thread is about to issue its Ordinal'th system call (AtSyscall) or
-// to retire its Ordinal'th instruction (AtInstret). Keying the common case
-// on the per-thread syscall ordinal rather than on Instret is what makes
-// injection reproducible across native and translated runs: a code-cache
-// runtime executes extra instructions (stubs, lookup code) so instruction
-// counts diverge, but the syscall sequence is part of the program's
-// observable behaviour and is identical by the transparency contract.
+// thread Thread is about to issue its Ordinal'th system call. Keying on the
+// per-thread syscall ordinal rather than on Instret is what makes injection
+// reproducible across native and translated runs: a code-cache runtime
+// executes extra instructions (stubs, lookup code) so instruction counts
+// diverge, but the syscall sequence is part of the program's observable
+// behaviour and is identical by the transparency contract.
 type faultInjection struct {
-	Thread    int
-	AtSyscall bool
-	Ordinal   uint64
-	Kind      FaultKind
-	Addr      Addr
-	done      bool
+	Thread  int
+	Ordinal uint64
+	Kind    FaultKind
+	Addr    Addr
+	done    bool
 }
 
 // InjectFaultAtSyscall schedules kind to be raised in place of thread's
@@ -103,25 +101,15 @@ type faultInjection struct {
 // have completed.
 func (m *Machine) InjectFaultAtSyscall(thread int, ordinal uint64, kind FaultKind, addr Addr) {
 	m.injections = append(m.injections, &faultInjection{
-		Thread: thread, AtSyscall: true, Ordinal: ordinal, Kind: kind, Addr: addr,
+		Thread: thread, Ordinal: ordinal, Kind: kind, Addr: addr,
 	})
 }
 
-// InjectFaultAtInstret schedules kind to be raised immediately before thread
-// retires its ordinal'th instruction (0-based). Only meaningful for runs
-// whose instruction stream is fixed (native, or comparisons between
-// identically-configured runs).
-func (m *Machine) InjectFaultAtInstret(thread int, ordinal uint64, kind FaultKind, addr Addr) {
-	m.injections = append(m.injections, &faultInjection{
-		Thread: thread, AtSyscall: false, Ordinal: ordinal, Kind: kind, Addr: addr,
-	})
-}
-
-// injectionFor returns the scheduled injection matching (thread, ordinal) on
-// the given axis, consuming it, or nil.
-func (m *Machine) injectionFor(thread int, atSyscall bool, ordinal uint64) *faultInjection {
+// injectionFor returns the scheduled injection matching (thread, ordinal),
+// consuming it, or nil.
+func (m *Machine) injectionFor(thread int, ordinal uint64) *faultInjection {
 	for _, inj := range m.injections {
-		if !inj.done && inj.Thread == thread && inj.AtSyscall == atSyscall && inj.Ordinal == ordinal {
+		if !inj.done && inj.Thread == thread && inj.Ordinal == ordinal {
 			inj.done = true
 			return inj
 		}

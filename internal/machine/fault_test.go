@@ -336,29 +336,6 @@ main:
 	}
 }
 
-func TestInjectFaultAtInstret(t *testing.T) {
-	m, _ := boot(t, `
-main:
-    nop
-    nop
-    nop
-    mov eax, 1
-    mov ebx, 0
-    int 0x80
-`)
-	m.InjectFaultAtInstret(0, 2, machine.FaultUD, 0)
-	if err := m.Run(10000); err != nil {
-		t.Fatal(err)
-	}
-	th := m.Threads[0]
-	if th.FaultRecord == nil || th.FaultRecord.Kind != machine.FaultUD {
-		t.Fatalf("record = %+v, want injected #UD", th.FaultRecord)
-	}
-	if th.Instret != 2 {
-		t.Errorf("instret = %d, want 2 (displaced instruction did not retire)", th.Instret)
-	}
-}
-
 func TestSignalQueueFIFO(t *testing.T) {
 	// Two signals queued back-to-back must both be delivered, in order.
 	m, img := boot(t, `

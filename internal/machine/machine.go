@@ -255,9 +255,6 @@ func (m *Machine) QueueSignal(t *Thread, handler Addr) {
 	t.pendingSignals = append(t.pendingSignals, handler)
 }
 
-// PendingSignals reports how many queued signals t has not yet received.
-func (t *Thread) PendingSignals() int { return len(t.pendingSignals) }
-
 // SetWatchHook installs fn to be called on a thread whose armed watch
 // countdown reaches zero (see ArmWatch). The hook runs between instructions,
 // at a precise boundary, and may redirect the thread's EIP.
@@ -274,9 +271,6 @@ func (t *Thread) ArmWatch(n uint64) {
 
 // DisarmWatch cancels a pending watch countdown.
 func (t *Thread) DisarmWatch() { t.watchLeft = 0 }
-
-// WatchArmed reports whether a watch countdown is pending.
-func (t *Thread) WatchArmed() bool { return t.watchLeft > 0 }
 
 // Charge adds modeled overhead time (runtime work performed conceptually on
 // this machine but implemented in Go, e.g. the dispatcher's hashtable
@@ -363,12 +357,6 @@ func (m *Machine) Step(t *Thread) error {
 			// Undecodable bytes are an architectural event, not an
 			// infrastructure failure: raise #UD on this thread only.
 			return m.raiseFault(t, &Fault{Kind: FaultUD})
-		}
-	}
-	if m.injections != nil {
-		if inj := m.injectionFor(t.ID, false, t.Instret); inj != nil {
-			// The displaced instruction does not execute or retire.
-			return m.raiseFault(t, &Fault{Kind: inj.Kind, Addr: inj.Addr})
 		}
 	}
 	m.Stats.Instructions++

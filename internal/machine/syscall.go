@@ -40,7 +40,7 @@ func (m *Machine) syscall(t *Thread, vector uint8) error {
 	if m.injections != nil {
 		ord := t.syscallSeen
 		t.syscallSeen++
-		if inj := m.injectionFor(t.ID, true, ord); inj != nil {
+		if inj := m.injectionFor(t.ID, ord); inj != nil {
 			// The displaced system call does not execute and is not
 			// traced; EIP already points past the int instruction.
 			return &Fault{Kind: inj.Kind, Addr: inj.Addr}

@@ -179,13 +179,6 @@ func (m Metric) String() string {
 	return "unknown"
 }
 
-// MetricNames returns the metric names in index order.
-func MetricNames() []string {
-	out := make([]string, NumMetrics)
-	copy(out, metricNames[:])
-	return out
-}
-
 // Histograms is the runtime's full set of distribution metrics, indexable
 // by Metric. The zero value is ready to use.
 type Histograms [NumMetrics]Histogram
