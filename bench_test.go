@@ -138,7 +138,7 @@ func BenchmarkAblationTraceThreshold(b *testing.B) {
 // size: smaller tables suffer more collision misses (full context
 // switches). The legacy direct-mapped table is pinned so the sweep shows
 // the conflict-miss curve; the adaptive open-address replacement (which
-// flattens it) is measured by drbench -iblsweep.
+// flattens it) is measured by the IBL sweep, drbench -diff ibl.
 func BenchmarkAblationIBLTable(b *testing.B) {
 	w := workload.ByName("eon")
 	for _, bits := range []uint{2, 4, 8, 10} {

@@ -97,8 +97,8 @@ func diffJSON(s *harness.Suite, outs []oracle.Outcome, checkErr error, workers i
 	return out
 }
 
-// tableFile is the file layout of every published table (-table1, -figure5,
-// -cachesweep, -iblsweep, -profile, -telemetry): the suite the table reads,
+// tableFile is the file layout of every published table (the views of the
+// verify, cachesweep, ibl and telemetry suites): the suite the table reads,
 // its columns (points), one row per benchmark with the normalized time and
 // simulated cycles of each column plus the cell behind them, and the
 // geometric-mean lines. Every cell has passed the full oracle.
@@ -148,11 +148,11 @@ type meansJSON struct {
 	All []float64 `json:"all"`
 }
 
-func tableJSON(name string, r *suiteRun, g harness.Grid, topN, workers int) tableFile {
+func tableJSON(view, suite string, g harness.Grid, workers int, elapsed time.Duration) tableFile {
 	out := tableFile{
-		header:     newHeader("drbench/table/v1", workers, r.elapsed),
-		Experiment: name,
-		Suite:      r.suite.Name,
+		header:     newHeader("drbench/table/v1", workers, elapsed),
+		Experiment: view,
+		Suite:      suite,
 	}
 	out.Means.FP, out.Means.Int, out.Means.All = g.ClassMeans()
 	for _, cfg := range g.Configs {
@@ -176,7 +176,7 @@ func tableJSON(name string, r *suiteRun, g harness.Grid, topN, workers int) tabl
 			}
 			if o.Phases != nil {
 				c.PhaseTicks = o.Phases.Map()
-				c.Top = obs.TopN(o.Profiles, topN)
+				c.Top = obs.TopN(o.Profiles, harness.TopFragments)
 			}
 			row.Cells = append(row.Cells, c)
 		}

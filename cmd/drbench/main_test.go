@@ -10,27 +10,18 @@ import (
 	"testing"
 )
 
-// TestExperimentPath pins the -json rule: one experiment writes the given
-// path, several write one file each. The collision case is the regression
-// where a second experiment silently overwrote the first one's file.
-func TestExperimentPath(t *testing.T) {
-	if got := experimentPath("x.json", "faultstorm", 1); got != "x.json" {
-		t.Errorf("single experiment: %q, want x.json", got)
-	}
-	if got := experimentPath("", "fuzz", 3); got != "" {
-		t.Errorf("no -json: %q, want empty", got)
-	}
-	names := []string{"figure5", "faultstorm", "chaosstorm", "fuzz", "profile", "telemetry"}
-	seen := map[string]bool{}
-	for _, n := range names {
-		p := experimentPath("x.json", n, len(names))
-		if p == "x.json" || seen[p] {
-			t.Errorf("%s: path %q collides", n, p)
+// TestRemovedFlags: the per-table flags, -top and -ring are gone (every
+// table is the view of a -diff suite), so each one is a usage error, and the
+// telemetry suite's two trace outputs need that suite.
+func TestRemovedFlags(t *testing.T) {
+	for _, flag := range []string{"-table1", "-figure5", "-cachesweep", "-iblsweep", "-profile", "-telemetry", "-top=10", "-ring=4096"} {
+		if code := run([]string{flag}, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
+			t.Errorf("drbench %s exited %d, want 2", flag, code)
 		}
-		seen[p] = true
 	}
-	if got := experimentPath("x.json", "fuzz", 2); got != "x.json.fuzz.json" {
-		t.Errorf("got %q, want x.json.fuzz.json", got)
+	var stderr bytes.Buffer
+	if code := run([]string{"-diff", "faultstorm", "-trace-out", "x.jsonl"}, &bytes.Buffer{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "telemetry") {
+		t.Errorf("-trace-out without the telemetry suite exited %d (stderr %q), want 1 naming the suite", code, stderr.String())
 	}
 }
 
@@ -73,26 +64,39 @@ func readSchema(t *testing.T, path string) string {
 	return f.Schema
 }
 
+// artifacts returns the file names in dir.
+func artifacts(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 // TestDiffSmoke runs one benchmark through the faultstorm suite and reads
-// the artifact back, then reruns it alongside the fuzz suite: both files
-// must survive.
+// the artifact back, then reruns it alongside the fuzz suite: -json names a
+// directory, and each suite without a view writes BENCH_<suite>.json there.
 func TestDiffSmoke(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.json")
+	dir := filepath.Join(t.TempDir(), "artifacts")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-diff", "faultstorm", "-bench", "crafty", "-json", path}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-diff", "faultstorm", "-bench", "crafty", "-json", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
 	}
-	if got := readSchema(t, path); got != "drbench/diff/v1" {
-		t.Errorf("schema %q, want drbench/diff/v1", got)
+	if got := artifacts(t, dir); !slices.Equal(got, []string{"BENCH_faultstorm.json"}) {
+		t.Errorf("wrote %v, want BENCH_faultstorm.json", got)
 	}
 
-	args := []string{"-diff", "faultstorm,fuzz", "-bench", "crafty", "-fuzz-seeds", "2", "-json", path}
+	args := []string{"-diff", "faultstorm,fuzz", "-bench", "crafty", "-fuzz-seeds", "2", "-json", dir}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	for _, suite := range []string{"faultstorm", "fuzz"} {
-		if got := readSchema(t, path+"."+suite+".json"); got != "drbench/diff/v1" {
+		if got := readSchema(t, filepath.Join(dir, "BENCH_"+suite+".json")); got != "drbench/diff/v1" {
 			t.Errorf("%s: schema %q", suite, got)
 		}
 	}
@@ -102,7 +106,7 @@ func TestDiffSmoke(t *testing.T) {
 // before anything runs.
 func TestUnknownBenchmark(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := run([]string{"-figure5", "-bench", "crafty,nosuch"}, &bytes.Buffer{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "nosuch") {
+	if code := run([]string{"-diff", "verify", "-bench", "crafty,nosuch"}, &bytes.Buffer{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "nosuch") {
 		t.Errorf("drbench -bench crafty,nosuch exited %d (stderr %q), want 1 naming the benchmark", code, stderr.String())
 	}
 }
@@ -118,45 +122,54 @@ func TestBadSeed(t *testing.T) {
 	}
 }
 
-// TestPublishedTables runs every published table on two benchmarks and reads
-// each artifact back: one layout, one row per benchmark, one point per
-// column, and the fields bench/bench_test.go cross-checks (rows[].benchmark,
-// rows[].normalized and means.all of Figure 5; points[].name and
-// rows[].normalized of the cache sweep), next to the cachesweep suite's own
-// -diff report and the telemetry suite's span stream. Each table
-// also enforces its suite's coverage check, and the IBL suite's requires table displacement,
-// which among the benchmarks only gcc and perlbmk reach; Table 1's rows are
-// always crafty and vpr.
+// TestPublishedTables runs the four suites that have a published view on
+// two benchmarks in one invocation and reads each artifact back: exactly one
+// drbench/table/v1 file per suite, named after its view, with one row per
+// benchmark, one point per published column, and the fields
+// bench/bench_test.go cross-checks (rows[].benchmark, rows[].normalized and
+// means.all of Figure 5; points[].name and rows[].normalized of the cache
+// sweep), next to the telemetry suite's event trace and span stream. Each
+// view also enforces its suite's coverage check, and the IBL suite's
+// requires table displacement, which among the benchmarks only gcc and
+// perlbmk reach. Table 1 is printed only when crafty and vpr are both
+// selected.
 func TestPublishedTables(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.json")
+	dir := filepath.Join(t.TempDir(), "artifacts")
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	args := []string{"-table1", "-figure5", "-cachesweep", "-iblsweep", "-profile", "-telemetry", "-diff", "cachesweep",
-		"-bench", "crafty,perlbmk", "-parallel", "0", "-json", path, "-trace-events", trace}
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	args := []string{"-diff", "verify,cachesweep,ibl,telemetry", "-bench", "crafty,perlbmk", "-parallel", "0",
+		"-json", dir, "-trace-events", trace, "-trace-out", events}
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
 	}
-	// The -diff report of the suite behind a selected table gets its own
-	// file.
-	if got := readSchema(t, path+".cachesweep-diff.json"); got != "drbench/diff/v1" {
-		t.Errorf("cachesweep-diff: schema %q, want drbench/diff/v1", got)
+	want := []string{"BENCH_cachesweep.json", "BENCH_figure5.json", "BENCH_iblsweep.json", "BENCH_telemetry.json"}
+	if got := artifacts(t, dir); !slices.Equal(got, want) {
+		t.Errorf("wrote %v, want %v", got, want)
 	}
-	if n := strings.Count(stdout.String(), "diff cachesweep:"); n != 1 {
-		t.Errorf("the cachesweep report printed %d times, want once", n)
+	for _, title := range []string{"Figure 5:", "Cache sweep:", "IBL sweep:", "Phase accounting:", "Telemetry:"} {
+		if n := strings.Count(stdout.String(), title); n != 1 {
+			t.Errorf("%q printed %d times, want once", title, n)
+		}
 	}
-	// The span stream is one document.
+	if strings.Contains(stdout.String(), "Table 1") {
+		t.Error("Table 1 printed without vpr selected")
+	}
+	// The span stream is one document; the event trace has a line per
+	// drained event.
 	if raw, err := os.ReadFile(trace); err != nil || !json.Valid(raw) {
 		t.Errorf("trace-event stream not one valid document (%v)", err)
 	}
+	if raw, err := os.ReadFile(events); err != nil || !bytes.Contains(raw, []byte(`"perlbmk"`)) {
+		t.Errorf("event trace lacks perlbmk's events (%v)", err)
+	}
 	for name, points := range map[string][]string{
-		"table1":     {"emulation", "bb-cache", "link-direct", "link-indirect", "traces"},
 		"figure5":    {"base", "rlr", "inc2add", "ibdispatch", "ctrace", "all"},
 		"cachesweep": {"512", "1k", "2k", "4k", "unbounded", "adaptive"},
 		"iblsweep":   {"direct-64", "direct-256", "open-64", "open-256", "adaptive-from-64", "open-256-noelide"},
-		"profile":    {"default"},
 		"telemetry":  {"telemetry"},
 	} {
-		raw, err := os.ReadFile(path + "." + name + ".json")
+		raw, err := os.ReadFile(filepath.Join(dir, "BENCH_"+name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,6 +182,7 @@ func TestPublishedTables(t *testing.T) {
 				Cells      []struct {
 					Ticks      uint64
 					PhaseTicks map[string]uint64 `json:"phase_ticks"`
+					Top        []json.RawMessage
 					Histograms []struct{ Count uint64 }
 					Anomalies  []json.RawMessage
 				}
@@ -188,12 +202,8 @@ func TestPublishedTables(t *testing.T) {
 		if !slices.Equal(got, points) {
 			t.Errorf("%s: points %v, want %v", name, got, points)
 		}
-		second := "perlbmk"
-		if name == "table1" {
-			second = "vpr"
-		}
-		if len(f.Rows) != 2 || f.Rows[0].Benchmark != "crafty" || f.Rows[1].Benchmark != second {
-			t.Fatalf("%s: rows %+v, want crafty and %s", name, f.Rows, second)
+		if len(f.Rows) != 2 || f.Rows[0].Benchmark != "crafty" || f.Rows[1].Benchmark != "perlbmk" {
+			t.Fatalf("%s: rows %+v, want crafty and perlbmk", name, f.Rows)
 		}
 		for _, r := range f.Rows {
 			if len(r.Normalized) != len(points) || len(r.Cells) != len(points) {
@@ -204,15 +214,26 @@ func TestPublishedTables(t *testing.T) {
 					t.Errorf("%s/%s/%s: normalized %v, ticks %d", name, r.Benchmark, points[i], x, r.Cells[i].Ticks)
 				}
 			}
-			if name == "profile" && len(r.Cells[0].PhaseTicks) == 0 {
-				t.Errorf("profile/%s: no phase ticks", r.Benchmark)
-			}
-			if c := r.Cells[0]; name == "telemetry" && (len(c.Histograms) == 0 || len(c.Anomalies) != 0) {
-				t.Errorf("telemetry/%s: %d histograms, %d anomalies, want some and none", r.Benchmark, len(c.Histograms), len(c.Anomalies))
+			c := r.Cells[0]
+			if name == "telemetry" && (len(c.PhaseTicks) == 0 || len(c.Top) == 0 || len(c.Histograms) == 0 || len(c.Anomalies) != 0) {
+				t.Errorf("telemetry/%s: %d phases, %d top fragments, %d histograms, %d anomalies, want some, some, some and none",
+					r.Benchmark, len(c.PhaseTicks), len(c.Top), len(c.Histograms), len(c.Anomalies))
 			}
 		}
 		if len(f.Means.All) != len(points) {
 			t.Errorf("%s: means.all %v, want one per point", name, f.Means.All)
 		}
+	}
+}
+
+// TestTableOne: the verify suite prints Table 1, the feature ladder on
+// crafty and vpr, when both are selected.
+func TestTableOne(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-diff", "verify", "-bench", "vpr,crafty", "-parallel", "0"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "Table 1") || !strings.Contains(out, "+ Basic block cache") {
+		t.Errorf("no Table 1 in\n%s", out)
 	}
 }

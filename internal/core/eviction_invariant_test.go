@@ -13,14 +13,29 @@ package core_test
 // them: the event ring and Stats.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/workload"
 )
+
+// evictionConfigs are the cachesweep suite's eviction-stress columns: the
+// unbounded cache plus three pressured ones that must evict (4 KiB, a
+// 16-byte single-fragment budget and adaptive sizing from 2 KiB).
+func evictionConfigs(t *testing.T) []oracle.Config {
+	t.Helper()
+	s, err := harness.NewSuite("cachesweep", harness.SuiteParams{Benches: []*workload.Benchmark{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"unbounded", "4k", "single-fragment", "adaptive-from-2k"}
+	return slices.DeleteFunc(s.Configs, func(c oracle.Config) bool { return !slices.Contains(names, c.Name) })
+}
 
 // invariantChecker is a client that audits the runtime's cache data
 // structures on every fragment-deleted event, and drains the event ring

@@ -4,9 +4,9 @@ package core_test
 // simulated tick lands in exactly one phase, so the per-phase counts sum to
 // machine.Ticks — and the fragment bookkeeping must conserve fragments:
 // everything built is either still live or was delivered dead, per kind.
-// Both must hold across the same configuration matrix as the eviction
-// differential oracle, because eviction, regeneration and adaptive resizing
-// are exactly the paths that re-attribute ticks and recycle fragments.
+// Both must hold across the cache sweep's eviction-stress columns, because
+// eviction, regeneration and adaptive resizing are exactly the paths that
+// re-attribute ticks and recycle fragments.
 
 import (
 	"sync"

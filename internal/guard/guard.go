@@ -1,9 +1,9 @@
 // Package guard holds the shared plumbing of the benchmark-regression
 // guard: the env gate, the checked-in baseline file format, and a
 // calibration kernel that normalizes wall-clock measurements across host
-// machines. The guarded tests live next to the benchmarks they guard (the
-// repository root for Figure 5, internal/machine for the interpreter hot
-// loop) and share one baseline file at the repository root.
+// machines. The interpreter hot-loop guard (internal/machine) keeps its
+// baseline in BENCH_baseline.json at the repository root; the Figure 5 guard
+// (the repository root) reads its baseline from BENCH_figure5.json.
 package guard
 
 import (
@@ -17,10 +17,6 @@ import (
 // Baseline is the layout of BENCH_baseline.json.
 type Baseline struct {
 	Schema string `json:"schema"`
-
-	// Figure5Geomean is the geomean normalized overhead of the guard
-	// subset per Figure 5 configuration — simulated and deterministic.
-	Figure5Geomean map[string]float64 `json:"figure5_geomean"`
 
 	// HotloopScore is interpreter throughput divided by the calibration
 	// kernel's throughput on the same host — dimensionless, so a slower CI

@@ -33,6 +33,8 @@ type Suite struct {
 	// Coverage, when non-nil, reports what a complete run of the suite
 	// failed to exercise.
 	Coverage func([]oracle.Outcome) error
+	// View, when non-nil, is the suite's one published table.
+	View *View
 }
 
 // SuiteParams selects what the suites run over.
@@ -41,7 +43,6 @@ type SuiteParams struct {
 	Seeds     []int64               // fault and chaos schedule seeds; nil means 101, 202, 303
 	FuzzSeeds []int64               // generator seeds of the fuzz suites; nil means 1..200
 	FuzzOps   int                   // statement budget per generated program; 0 means 40
-	EventRing int                   // per-thread event-trace ring of the profile suite; 0 means off
 	// TraceEvents, when set, receives the telemetry suite's span stream:
 	// one process track per instrumented run. The caller closes it.
 	TraceEvents *obs.TraceWriter
@@ -53,10 +54,8 @@ var suiteBuilders = []struct {
 	build func(SuiteParams) (*Suite, error)
 }{
 	{"verify", verifySuite},
-	{"eviction", evictionSuite},
 	{"ibl", iblSuite},
 	{"cachesweep", cacheSweepSuite},
-	{"profile", profileSuite},
 	{"faultstorm", faultStormSuite},
 	{"chaosstorm", chaosStormSuite},
 	{"fuzz", fuzzSuite},
@@ -167,7 +166,7 @@ func bounded(bytes int) func(*core.Options) {
 // benchmark under the Table 1 feature ladder, under the six Figure 5 client
 // sets on the paper's base system (Figure5Options) — the published cells —
 // and under all four clients on the default runtime, so the clients also
-// meet adaptive IBL and flag-save elision.
+// meet adaptive IBL and flag-save elision. Its published view is Figure 5.
 func verifySuite(p SuiteParams) (*Suite, error) {
 	var configs []oracle.Config
 	for i, opts := range core.TableOneLadder() {
@@ -178,53 +177,8 @@ func verifySuite(p SuiteParams) (*Suite, error) {
 	}
 	configs = append(configs, oracle.Config{Name: "all-default", Opts: core.Default,
 		Clients: func() []core.Client { return ClientsFor(ConfigAll) }})
-	return &Suite{Cases: benchCases(p.Benches), Configs: configs}, nil
-}
-
-// evictionSuite proves FIFO eviction and adaptive sizing transparent: an
-// unbounded cache, a 4 KiB cache, a maximally thrashing cache (a 16-byte
-// budget ratchets capacity to the largest fragment seen) and an adaptive
-// cache. The pressured columns must evict and regenerate on every benchmark;
-// the unbounded column must never evict and must report live cache bytes.
-func evictionSuite(p SuiteParams) (*Suite, error) {
-	configs := []oracle.Config{
-		{Name: "unbounded", Opts: core.Default},
-		{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
-		{Name: "single-fragment", Opts: defaultWith(bounded(16))},
-		{Name: "adaptive", Opts: defaultWith(func(o *core.Options) {
-			bounded(2 << 10)(o)
-			o.AdaptiveCache = true
-		})},
-	}
-	n := len(configs)
-	return &Suite{
-		Cases:   benchCases(p.Benches),
-		Configs: configs,
-		Coverage: func(outs []oracle.Outcome) error {
-			var errs []error
-			var resizes uint64
-			// Outcomes come case by case, the unbounded column first.
-			for i := 0; i < len(outs); i += n {
-				var evictions, regenerations uint64
-				for _, o := range outs[i+1 : i+n] {
-					evictions += o.Stats.Evictions
-					regenerations += o.Stats.Regenerations
-					resizes += o.Stats.CacheResizes
-				}
-				if evictions == 0 || regenerations == 0 {
-					errs = append(errs, fmt.Errorf("%s: pressured columns: %d evictions, %d regenerations", outs[i].Case, evictions, regenerations))
-				}
-				u := outs[i].Stats
-				if u.Evictions != 0 {
-					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", outs[i].Case, u.Evictions))
-				}
-				if u.BBCacheLiveBytes == 0 || u.TraceCacheLiveBytes == 0 {
-					errs = append(errs, fmt.Errorf("%s: unbounded live-byte gauges read bb=%d trace=%d", outs[i].Case, u.BBCacheLiveBytes, u.TraceCacheLiveBytes))
-				}
-			}
-			return errors.Join(append(errs, requireNonzero(map[string]uint64{"cache resizes": resizes}))...)
-		},
-	}, nil
+	return &Suite{Cases: benchCases(p.Benches), Configs: configs,
+		View: &View{Name: "figure5", Configs: Figure5Configs(), Format: FormatFigure5}}, nil
 }
 
 // iblSuite is the IBL sweep: the paper-era direct-mapped table at two sizes
@@ -274,28 +228,40 @@ func iblSuite(p SuiteParams) (*Suite, error) {
 			}))
 			return errors.Join(errs...)
 		},
+		View: &View{Name: "iblsweep", Format: FormatIBLSweep},
 	}, nil
 }
 
-// cacheSweepSuite is the cache-size sweep: fixed per-thread budgets from
-// severe to comfortable pressure, the unbounded baseline, and the adaptive
-// sizer starting from the smallest fixed budget. The ladder is scaled to the
-// synthetic suite's working sets (most benchmarks keep 0.7–1.8 KiB of live
-// code; gcc and perlbmk tens of KiB), so 512 bytes pressures everything and
-// 4 KiB only the two giants. Every benchmark must evict at 512 bytes and
-// never when unbounded, and adaptive sizing, which starts at 512 bytes, must
-// never end up slower than staying there (the point of Section 6.2).
+// cacheSweepSuite is the cache-size sweep and the eviction differential:
+// fixed per-thread budgets from severe to comfortable pressure, the unbounded
+// baseline, the adaptive sizer starting from the smallest fixed budget, a
+// maximally thrashing cache (a 16-byte budget ratchets capacity to the
+// largest fragment seen) and the adaptive sizer starting from 2 KiB. The
+// ladder is scaled to the synthetic suite's working sets (most benchmarks
+// keep 0.7–1.8 KiB of live code; gcc and perlbmk tens of KiB), so 512 bytes
+// pressures everything and 4 KiB only the two giants. Every benchmark must
+// evict at 512 bytes, evict and regenerate under the 4k, single-fragment and
+// adaptive-from-2k columns, and never evict when unbounded, where its
+// live-byte gauges must read nonzero. Adaptive sizing, which starts at 512
+// bytes, must never end up slower than staying there (the point of Section
+// 6.2), and both adaptive columns must resize somewhere. The published sweep
+// is the first six columns.
 func cacheSweepSuite(p SuiteParams) (*Suite, error) {
+	adaptiveFrom := func(bytes int) func() core.Options {
+		return defaultWith(func(o *core.Options) {
+			bounded(bytes)(o)
+			o.AdaptiveCache = true
+		})
+	}
 	configs := []oracle.Config{
 		{Name: "512", Opts: defaultWith(bounded(512))},
 		{Name: "1k", Opts: defaultWith(bounded(1 << 10))},
 		{Name: "2k", Opts: defaultWith(bounded(2 << 10))},
 		{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
 		{Name: "unbounded", Opts: core.Default},
-		{Name: "adaptive", Opts: defaultWith(func(o *core.Options) {
-			bounded(512)(o)
-			o.AdaptiveCache = true
-		})},
+		{Name: "adaptive", Opts: adaptiveFrom(512)},
+		{Name: "single-fragment", Opts: defaultWith(bounded(16))},
+		{Name: "adaptive-from-2k", Opts: adaptiveFrom(2 << 10)},
 	}
 	n := len(configs)
 	return &Suite{
@@ -303,38 +269,53 @@ func cacheSweepSuite(p SuiteParams) (*Suite, error) {
 		Configs: configs,
 		Coverage: func(outs []oracle.Outcome) error {
 			var errs []error
-			var resizes uint64
-			// Outcomes come case by case in config order: 512 first,
-			// unbounded and adaptive last.
+			var resizes, resizesFrom2k uint64
+			// Outcomes come case by case; each case's columns are found
+			// by name.
 			for i := 0; i+n <= len(outs); i += n {
-				tight, unbounded, adaptive := outs[i], outs[i+4], outs[i+5]
-				if tight.Stats.Evictions == 0 {
-					errs = append(errs, fmt.Errorf("%s: the 512-byte budget never evicted", tight.Case))
+				var tight, unbounded, adaptive oracle.Outcome
+				var evictions, regenerations uint64
+				for _, o := range outs[i : i+n] {
+					switch o.Config {
+					case "512":
+						tight = o
+					case "unbounded":
+						unbounded = o
+					case "adaptive":
+						adaptive = o
+					case "adaptive-from-2k":
+						resizesFrom2k += o.Stats.CacheResizes
+						fallthrough
+					case "4k", "single-fragment":
+						evictions += o.Stats.Evictions
+						regenerations += o.Stats.Regenerations
+					}
 				}
-				if unbounded.Stats.Evictions != 0 {
-					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", tight.Case, unbounded.Stats.Evictions))
+				name := outs[i].Case
+				if tight.Stats.Evictions == 0 {
+					errs = append(errs, fmt.Errorf("%s: the 512-byte budget never evicted", name))
+				}
+				if evictions == 0 || regenerations == 0 {
+					errs = append(errs, fmt.Errorf("%s: pressured columns: %d evictions, %d regenerations", name, evictions, regenerations))
+				}
+				u := unbounded.Stats
+				if u.Evictions != 0 {
+					errs = append(errs, fmt.Errorf("%s: unbounded cache evicted %d fragments", name, u.Evictions))
+				}
+				if u.BBCacheLiveBytes == 0 || u.TraceCacheLiveBytes == 0 {
+					errs = append(errs, fmt.Errorf("%s: unbounded live-byte gauges read bb=%d trace=%d", name, u.BBCacheLiveBytes, u.TraceCacheLiveBytes))
 				}
 				if adaptive.Normalized() > tight.Normalized() {
 					errs = append(errs, fmt.Errorf("%s: adaptive (%.3f) slower than the fixed 512-byte budget (%.3f)",
-						tight.Case, adaptive.Normalized(), tight.Normalized()))
+						name, adaptive.Normalized(), tight.Normalized()))
 				}
 				resizes += adaptive.Stats.CacheResizes
 			}
-			return errors.Join(append(errs, requireNonzero(map[string]uint64{"adaptive cache resizes": resizes}))...)
+			return errors.Join(append(errs, requireNonzero(map[string]uint64{
+				"adaptive cache resizes": resizes, "adaptive-from-2k cache resizes": resizesFrom2k,
+			}))...)
 		},
-	}, nil
-}
-
-// profileSuite is the where-the-cycles-go experiment: the default runtime
-// with phase accounting and fragment profiles on (and, with
-// SuiteParams.EventRing, the event trace). The engine's Failure check holds
-// every run to tick conservation: the phases sum exactly to the run's ticks.
-func profileSuite(p SuiteParams) (*Suite, error) {
-	return &Suite{
-		Cases: benchCases(p.Benches),
-		Configs: []oracle.Config{{Name: "default", Opts: defaultWith(func(o *core.Options) {
-			o.Profile, o.EventRing = true, p.EventRing
-		})}},
+		View: &View{Name: "cachesweep", Configs: []string{"512", "1k", "2k", "4k", "unbounded", "adaptive"}, Format: FormatCacheSweep},
 	}, nil
 }
 

@@ -12,16 +12,16 @@ import (
 )
 
 // view runs the named suite over the named benchmarks (every benchmark when
-// none are named) with only the given configs (all of them when nil), checks
-// every cell and the suite's coverage, and returns the grid a published view
-// would format.
+// none are named) with only the given configs (all of them when nil),
+// reports each benchmark's cells as a subtest, checks the suite's coverage,
+// and returns the grid a published view would format.
 func view(t *testing.T, suite string, configs []string, names ...string) harness.Grid {
 	t.Helper()
 	benches, err := workload.Select(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := harness.NewSuite(suite, harness.SuiteParams{Benches: benches, EventRing: 128})
+	s, err := harness.NewSuite(suite, harness.SuiteParams{Benches: benches})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +31,16 @@ func view(t *testing.T, suite string, configs []string, names ...string) harness
 	outs, err := s.Run(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	n := len(s.Configs)
+	for i, c := range s.Cases {
+		t.Run(c.Name, func(t *testing.T) {
+			for _, o := range outs[i*n : (i+1)*n] {
+				if f := o.Failure(); f != "" {
+					t.Errorf("%s: %s", o.Config, f)
+				}
+			}
+		})
 	}
 	if err := s.Check(outs); err != nil {
 		t.Fatal(err)

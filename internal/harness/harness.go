@@ -2,9 +2,9 @@
 // suite. Every simulated measurement is a cell of a differential suite
 // (diff.go) run on the one engine, oracle.Diff, so each published number
 // comes from a run that matched native on the full oracle state. Table 1,
-// Figure 5, the cache and IBL sweeps and the profile are views over those
-// outcomes (views.go); Table 2 times the instruction representation levels
-// directly (table2.go).
+// Figure 5, the cache and IBL sweeps and the telemetry report are views over
+// those outcomes (views.go); Table 2 times the instruction representation
+// levels directly (table2.go).
 package harness
 
 import (
@@ -63,8 +63,8 @@ func ClientsFor(c OptConfig) []core.Client {
 // optimizations (which attack exactly that indirect-branch overhead) are
 // compared against the system the paper describes. The adaptive
 // open-address IBL and eflags-liveness elision are evaluated separately by
-// the IBL sweep (drbench -iblsweep), which includes this configuration as
-// its ablation baseline.
+// the IBL sweep (the ibl suite's view, drbench -diff ibl), which includes
+// this configuration as its ablation baseline.
 func Figure5Options() core.Options {
 	o := core.Default()
 	o.IBL = core.IBLDirect

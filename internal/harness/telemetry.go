@@ -10,13 +10,14 @@ import (
 	"repro/internal/oracle"
 )
 
-// telemetrySuite is the live-telemetry experiment: every observability
-// pillar switched on at once — phase accounting, distribution histograms,
-// the event ring, the pathology watchdog and, with SuiteParams.TraceEvents,
-// span export — beside the plain default runtime on the same cases. It is the
-// live-telemetry analogue of the profile suite: the profile answers "where
-// did the cycles go", telemetry answers "how did the mechanisms behave, and
-// did anything pathological happen". Its coverage check is the telemetry
+// telemetrySuite is the explain experiment: every observability pillar
+// switched on at once — phase accounting and fragment profiles, distribution
+// histograms, the event ring, the pathology watchdog and, with
+// SuiteParams.TraceEvents, span export — beside the plain default runtime on
+// the same cases. The profile answers "where did the cycles go", the rest
+// "how did the mechanisms behave, and did anything pathological happen". The
+// engine's Failure check holds the instrumented run to tick conservation (the
+// phases sum exactly to the run's ticks). The coverage check is the telemetry
 // contract: on every case the watchdog stays silent, the instrumented run
 // costs exactly the default run's ticks (telemetry reads the clock but never
 // charges it), and the block-build histogram saw every block built.
@@ -46,6 +47,7 @@ func telemetrySuite(p SuiteParams) (*Suite, error) {
 			}
 			return errors.Join(errs...)
 		},
+		View: &View{Name: "telemetry", Configs: []string{"telemetry"}, Format: FormatTelemetry},
 	}, nil
 }
 
@@ -57,12 +59,14 @@ func blockBuilds(hists []obs.HistogramSummary) uint64 {
 	return 0
 }
 
-// FormatTelemetry renders the telemetry column of the telemetry suite:
-// per-benchmark distribution digests (count, p50, p99, max per metric)
-// followed by any watchdog detections.
+// FormatTelemetry renders the telemetry column of the telemetry suite: the
+// phase breakdown and hottest fragments, then per-benchmark distribution
+// digests (count, p50, p99, max per metric) followed by any watchdog
+// detections.
 func FormatTelemetry(g Grid) string {
 	var b strings.Builder
-	b.WriteString("Telemetry: distribution metrics (count/p50/p99/max) with all instrumentation on\n")
+	formatProfile(&b, g)
+	b.WriteString("\nTelemetry: distribution metrics (count/p50/p99/max) with all instrumentation on\n")
 	for _, r := range g.Rows {
 		o := r.Cells[0]
 		fmt.Fprintf(&b, "%-10s %-4s %12d ticks  %.3fx native  %d anomalies\n",

@@ -9,11 +9,23 @@ import (
 	"repro/internal/workload"
 )
 
-// The published tables are views over differential outcomes: Table 1 and
-// Figure 5 over the verify suite, the cache sweep over cachesweep, the IBL
-// sweep over ibl and the phase profile over profile. A view only arranges
-// and formats cells; every number in it is the normalized time of a run that
-// passed the full oracle.
+// The published tables are views over differential outcomes: Figure 5 (and
+// Table 1) over the verify suite, the cache sweep over cachesweep, the IBL
+// sweep over ibl and the telemetry report, phase profile included, over
+// telemetry. A view only arranges and formats cells; every number in it is
+// the normalized time of a run that passed the full oracle.
+
+// View is a suite's published table: its name (drbench -json writes it as
+// BENCH_<Name>.json), its columns and its text rendering.
+type View struct {
+	Name    string
+	Configs []string // nil means all of the suite's
+	Format  func(Grid) string
+}
+
+// TopFragments is how many of a profiled run's hottest fragments the
+// telemetry view prints and publishes.
+const TopFragments = 10
 
 // Grid is a table of verified outcomes: one row per case, one column per
 // config.
@@ -231,28 +243,26 @@ func FormatIBLSweep(g Grid) string {
 	return b.String()
 }
 
-// FormatProfile renders a profiled grid's first column: the phase breakdown
+// formatProfile renders a profiled grid's first column: the phase breakdown
 // as percent-of-run per benchmark (the paper's Section 4-style overhead
-// attribution), then each benchmark's topN hottest fragments (all of them
-// when topN <= 0).
-func FormatProfile(g Grid, topN int) string {
-	var b strings.Builder
+// attribution), then each benchmark's TopFragments hottest fragments.
+func formatProfile(b *strings.Builder, g Grid) {
 	names := obs.PhaseNames()
 	b.WriteString("Phase accounting: percent of simulated ticks by execution phase\n")
-	fmt.Fprintf(&b, "%-10s %-4s %12s", "benchmark", "cls", "ticks")
+	fmt.Fprintf(b, "%-10s %-4s %12s", "benchmark", "cls", "ticks")
 	for _, n := range names {
-		fmt.Fprintf(&b, " %*s", phaseColWidth(n), n)
+		fmt.Fprintf(b, " %*s", phaseColWidth(n), n)
 	}
 	b.WriteByte('\n')
 	for _, r := range g.Rows {
 		o := r.Cells[0]
-		fmt.Fprintf(&b, "%-10s %-4s %12d", r.Case, r.Class, o.Ticks)
+		fmt.Fprintf(b, "%-10s %-4s %12d", r.Case, r.Class, o.Ticks)
 		for i, n := range names {
 			pct := 0.0
 			if o.Ticks > 0 {
 				pct = 100 * float64(o.Phases[i]) / float64(o.Ticks)
 			}
-			fmt.Fprintf(&b, " %*.2f", phaseColWidth(n), pct)
+			fmt.Fprintf(b, " %*.2f", phaseColWidth(n), pct)
 		}
 		b.WriteByte('\n')
 	}
@@ -261,10 +271,9 @@ func FormatProfile(g Grid, topN int) string {
 		if len(o.Profiles) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "\n%s: hottest fragments (%d profiled)\n", r.Case, len(o.Profiles))
-		b.WriteString(obs.FormatTop(obs.TopN(o.Profiles, topN)))
+		fmt.Fprintf(b, "\n%s: hottest fragments (%d profiled)\n", r.Case, len(o.Profiles))
+		b.WriteString(obs.FormatTop(obs.TopN(o.Profiles, TopFragments)))
 	}
-	return b.String()
 }
 
 // phaseColWidth sizes a phase column to its header.

@@ -13,16 +13,21 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCacheSweep runs the cache sweep on two benchmarks whose working sets
-// exceed the tight budget. The suite's coverage check (which view fails on)
-// requires the 512-byte budget to evict, the unbounded cache never to evict,
-// and adaptive sizing to resize and end no slower than 512 bytes; here both
-// benchmarks must also resize.
+// TestCacheSweep runs the merged cache sweep and eviction differential over
+// every benchmark: 176 cells, each bit-identical to native. The suite's
+// coverage check (which its view fails on) requires the 512-byte budget to
+// evict, the pressured 4k/single-fragment/adaptive-from-2k columns to evict
+// and regenerate on every benchmark, the unbounded cache never to evict and
+// to report live bytes, and adaptive sizing to resize and end no slower than
+// 512 bytes; here crafty and gzip must also resize under adaptive sizing.
 func TestCacheSweep(t *testing.T) {
-	g := view(t, "cachesweep", nil, "crafty", "gzip")
+	g := view(t, "cachesweep", nil)
+	if len(g.Rows) != len(workload.All()) || len(g.Configs) != 8 {
+		t.Fatalf("%d rows x %d columns, want %d x 8", len(g.Rows), len(g.Configs), len(workload.All()))
+	}
 	adaptive := slices.Index(g.Configs, "adaptive")
 	for _, r := range g.Rows {
-		if r.Cells[adaptive].Stats.CacheResizes == 0 {
+		if (r.Case == "crafty" || r.Case == "gzip") && r.Cells[adaptive].Stats.CacheResizes == 0 {
 			t.Errorf("%s: adaptive sizing never resized", r.Case)
 		}
 	}
@@ -102,42 +107,6 @@ func TestIBLSweepShape(t *testing.T) {
 	}
 }
 
-// TestProfileExperiment runs the profile suite over a small benchmark set
-// with a 128-entry event ring and checks the cells the profile view reads.
-// Tick conservation is part of every cell's oracle check, so here we check
-// the report-facing shape.
-func TestProfileExperiment(t *testing.T) {
-	g := view(t, "profile", nil, "gzip", "crafty", "mgrid")
-	for i, r := range g.Rows {
-		o := r.Cells[0]
-		if want := []string{"gzip", "crafty", "mgrid"}[i]; r.Case != want {
-			t.Errorf("row %d: benchmark %q, want %q (input order)", i, r.Case, want)
-		}
-		if o.Ticks == 0 || o.Normalized() <= 1.0 {
-			t.Errorf("%s: implausible ticks %d (normalized %.3f)", r.Case, o.Ticks, o.Normalized())
-		}
-		if o.Phases == nil || o.Phases.Sum() != uint64(o.Ticks) {
-			t.Errorf("%s: phase ticks %v do not sum to %d", r.Case, o.Phases, o.Ticks)
-		}
-		if len(o.Profiles) == 0 {
-			t.Errorf("%s: no fragments profiled", r.Case)
-		}
-		if len(o.Events) == 0 {
-			t.Errorf("%s: event ring enabled but no events drained", r.Case)
-		}
-		if o.Stats.BlocksBuilt == 0 {
-			t.Errorf("%s: stats snapshot empty", r.Case)
-		}
-		top := obs.TopN(o.Profiles, 5)
-		if len(top) == 0 || !sort.SliceIsSorted(top, func(a, b int) bool { return top[a].Ticks > top[b].Ticks }) {
-			t.Errorf("%s: top fragments empty or not sorted by ticks", r.Case)
-		}
-	}
-	if out := harness.FormatProfile(g, 5); !strings.Contains(out, "crafty: hottest fragments") {
-		t.Errorf("profile view:\n%s", out)
-	}
-}
-
 // TestTelemetryMatrixCleanAndBitIdentical runs the telemetry suite over every
 // workload with span export on. Its check is the experiment's headline
 // guarantee: with every telemetry pillar on, each workload ends bit-identical
@@ -145,7 +114,10 @@ func TestProfileExperiment(t *testing.T) {
 // fills the block-build histogram and trips zero watchdog detections under
 // the default thresholds (a false positive means a healthy workload would
 // page someone). The combined stream must be one valid Chrome trace-event
-// document with one process track per workload.
+// document with one process track per workload, and every telemetry cell
+// must carry what the view's profile half reads: plausible ticks, phase
+// ticks summing to them, profiled fragments sorted hottest first, drained
+// events and a stats snapshot.
 func TestTelemetryMatrixCleanAndBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix differential run")
@@ -195,7 +167,81 @@ func TestTelemetryMatrixCleanAndBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := harness.FormatTelemetry(g); !strings.Contains(out, "crafty") {
-		t.Errorf("telemetry view:\n%s", out)
+	var names []string
+	for _, c := range s.Cases {
+		names = append(names, c.Name)
+	}
+	checkTelemetryView(t, g, names)
+}
+
+// TestProfileExperiment runs the telemetry suite over three benchmarks and
+// checks the cells the view's profile half reads, so the phase table and
+// hottest-fragment report are checked by go test -short too. Tick
+// conservation is part of every cell's oracle check, so here we check the
+// report-facing shape.
+func TestProfileExperiment(t *testing.T) {
+	names := []string{"gzip", "crafty", "mgrid"}
+	benches, err := workload.Select(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := harness.NewSuite("telemetry", harness.SuiteParams{Benches: benches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(outs); err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Grid(outs, nil, []string{"telemetry"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTelemetryView(t, g, names)
+}
+
+// checkTelemetryView checks a grid of the telemetry column, whose rows must
+// be the named benchmarks in input order: plausible ticks, phase ticks
+// summing to them, profiled fragments sorted hottest first, drained events,
+// a stats snapshot, and a text view with its phase, fragment and histogram
+// sections.
+func checkTelemetryView(t *testing.T, g harness.Grid, names []string) {
+	t.Helper()
+	if len(g.Rows) != len(names) {
+		t.Fatalf("%d rows, want %d", len(g.Rows), len(names))
+	}
+	for i, r := range g.Rows {
+		o := r.Cells[0]
+		if r.Case != names[i] {
+			t.Errorf("row %d: benchmark %q, want %q (input order)", i, r.Case, names[i])
+		}
+		if o.Ticks == 0 || o.Normalized() <= 1.0 {
+			t.Errorf("%s: implausible ticks %d (normalized %.3f)", r.Case, o.Ticks, o.Normalized())
+		}
+		if o.Phases == nil || o.Phases.Sum() != uint64(o.Ticks) {
+			t.Errorf("%s: phase ticks %v do not sum to %d", r.Case, o.Phases, o.Ticks)
+		}
+		if len(o.Profiles) == 0 {
+			t.Errorf("%s: no fragments profiled", r.Case)
+		}
+		if len(o.Events) == 0 {
+			t.Errorf("%s: event ring enabled but no events drained", r.Case)
+		}
+		if o.Stats.BlocksBuilt == 0 {
+			t.Errorf("%s: stats snapshot empty", r.Case)
+		}
+		top := obs.TopN(o.Profiles, harness.TopFragments)
+		if len(top) == 0 || !sort.SliceIsSorted(top, func(a, b int) bool { return top[a].Ticks > top[b].Ticks }) {
+			t.Errorf("%s: top fragments empty or not sorted by ticks", r.Case)
+		}
+	}
+	out := harness.FormatTelemetry(g)
+	for _, want := range []string{"Phase accounting", "crafty: hottest fragments", "Telemetry: distribution metrics"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("telemetry view lacks %q:\n%s", want, out)
+		}
 	}
 }

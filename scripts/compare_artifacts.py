@@ -5,21 +5,24 @@ Usage:
 
     python3 scripts/compare_artifacts.py OLD_DIR NEW_DIR
 
-Each of the seven artifacts (BENCH_figure5, cachesweep, iblsweep, profile and
-telemetry in drbench/table/v1; BENCH_faultstorm and chaosstorm in
-drbench/diff/v1) is flattened to {JSON path: leaf value} with the header
-(schema, workers, wall clock) skipped, and the union of the two files' paths
-is compared with == (floats included): a path present in only one file is a
-difference too. Prints each differing or missing path, then one summary line
-per file; exits 1 on any difference, and on any of the seven files missing
-from either directory.
+The six artifacts are what one run of
+
+    drbench -diff cachesweep,ibl,faultstorm,chaosstorm,verify,telemetry -json DIR
+
+writes: BENCH_figure5, cachesweep, iblsweep and telemetry in drbench/table/v1;
+BENCH_faultstorm and chaosstorm in drbench/diff/v1. Each is flattened to
+{JSON path: leaf value} with the header (schema, workers, wall clock)
+skipped, and the union of the two files' paths is compared with == (floats
+included): a path present in only one file is a difference too. Prints
+each differing or missing path, then one summary line per file; exits 1 on
+any difference, and on any of the six files missing from either directory.
 """
 
 import json
 import os
 import sys
 
-FILES = ["BENCH_figure5.json", "BENCH_cachesweep.json", "BENCH_iblsweep.json", "BENCH_profile.json",
+FILES = ["BENCH_figure5.json", "BENCH_cachesweep.json", "BENCH_iblsweep.json",
          "BENCH_faultstorm.json", "BENCH_chaosstorm.json", "BENCH_telemetry.json"]
 
 # Header fields: not measurements.

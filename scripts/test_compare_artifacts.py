@@ -101,10 +101,10 @@ class CompareArtifactsTest(unittest.TestCase):
 
     def test_missing_file(self):
         new = fixture()
-        del new["BENCH_profile.json"]
+        del new["BENCH_iblsweep.json"]
         code, out = self.run_on(fixture(), new)
         self.assertEqual(code, 1, out)
-        self.assertIn("BENCH_profile.json: missing", out)
+        self.assertIn("BENCH_iblsweep.json: missing", out)
 
 
 if __name__ == "__main__":
