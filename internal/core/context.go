@@ -106,6 +106,7 @@ type Context struct {
 	inReplace bool
 
 	iblEntry  [numBranchTypes]machine.Addr
+	iblPrefix [2]iblTargetPrefix // popfd form, elided (lea) form
 	tableBase machine.Addr
 	tableBits uint
 	tableMask uint32
@@ -187,6 +188,12 @@ type Context struct {
 	// sample at the dispatch entry that ends the window.
 	windowStartInstret uint64
 	windowActive       bool
+
+	// Emission scratch, reused by every fragment build on this thread and
+	// holding no pointer past the build: the fragment's bytes before they
+	// are written to the cache, and the per-exit working state.
+	emitCode  []byte
+	emitExits []exitInfo
 }
 
 // Detached reports whether this thread has detached from the runtime and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -17,14 +18,26 @@ import (
 //	jmp exitTrap          ; 5 bytes
 const stubTailLen = 15
 
-// exitInfo is the per-exit working state during emission.
+// popfdByte is the stub prefix of a flags-pushed exit: popfd, restoring the
+// application eflags the inline target check pushed.
+const popfdByte = 0x9D
+
+// exitInfo is the per-exit working state during emission. Offsets are
+// from the fragment start.
 type exitInfo struct {
 	cti       *instr.Instr
-	class     uint8
-	prefix    *instr.List // stub prefix: runtime popfd and/or client stub code
-	viaStub   bool
-	stubOff   int // offset of the stub from the fragment start
-	prefixLen int
+	stub      *instr.List // copy of the client's custom stub code, or nil
+	stubOff   int         // the stub
+	codeOff   int         // the client code, after any popfd
+	prefixLen int         // popfd and client code ahead of the tail
+}
+
+// iblTargetPrefix is one form of the IBL target prefix, encoded once per
+// thread (see buildIBLPrefixes): its bytes depend only on the thread's ECX
+// spill slot.
+type iblTargetPrefix struct {
+	code   []byte
+	movOff uint32 // offset of the final mov ecx, [spillECX]
 }
 
 // isExitCTI reports whether an instruction in a mangled fragment list is a
@@ -50,79 +63,76 @@ func isExitCTI(i *instr.Instr) bool {
 }
 
 // emit lays out a mangled fragment list plus its exit stubs in the code
-// cache, creates the bookkeeping records, and registers the fragment.
+// cache, creates the bookkeeping records, and registers the fragment. The
+// bytes are built in one pass over per-thread scratch (see DESIGN.md,
+// "Fragment emission") and written to the cache at once.
 func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *instr.List) *Fragment {
+	// The scratch is off the context for the build, so a build that
+	// panics leaves nothing reachable from it.
+	code, exits := ctx.emitCode[:0], ctx.emitExits[:0]
+	ctx.emitCode, ctx.emitExits = nil, nil
+
 	// Collect exits in list order.
-	var exits []*exitInfo
-	list.Instrs(func(i *instr.Instr) bool {
+	for i := list.First(); i != nil; i = i.Next() {
 		if !isExitCTI(i) {
-			return true
+			continue
 		}
-		ei := &exitInfo{cti: i, class: i.ExitClass()}
-		if i.ExitClass()&ClassFlagsPushedBit != 0 {
-			ei.prefix = instr.NewList(instr.CreatePopfd())
-		}
+		ei := exitInfo{cti: i}
 		if custom := i.ExitStub(); custom != nil {
-			if ei.prefix == nil {
-				ei.prefix = instr.NewList()
-			}
+			ei.stub = instr.NewList()
 			custom.Instrs(func(ci *instr.Instr) bool {
-				ei.prefix.Append(ci.Copy())
+				ei.stub.Append(ci.Copy())
 				return true
 			})
 		}
-		// An exit routes through its stub even when linked only if the
-		// client asked for it or the runtime needs the stub's popfd
-		// (flags-pushed indirect exits). Plain custom stub code runs
-		// only while the exit is unlinked, per the paper's Section 3.2.
-		ei.viaStub = i.AlwaysViaStub() || i.ExitClass()&ClassFlagsPushedBit != 0
 		exits = append(exits, ei)
-		return true
-	})
-
-	bodyLen, err := list.EncodedLen()
-	if err != nil {
-		panic(fmt.Sprintf("core: sizing fragment %#x: %v", tag, err))
 	}
 
-	// Build the IBL target prefix: the open-address lookup routine's hit
-	// path jumps here with the application eflags still pushed and ECX
-	// still spilled. A head that provably rewrites all six arithmetic
-	// flags gets the elided form — a flag-neutral lea discards the pushed
-	// eflags word instead of a popfd (the paper's Section 4.4).
-	var iblPrefix *instr.List
-	prefixLen := 0
+	// The IBL target prefix: the open-address lookup routine's hit path
+	// jumps here with the application eflags still pushed and ECX still
+	// spilled. A head that provably rewrites all six arithmetic flags gets
+	// the elided form — a flag-neutral lea discards the pushed eflags word
+	// instead of a popfd (the paper's Section 4.4).
+	var prefix *iblTargetPrefix
 	if r.usesIBLPrefix() {
 		// Elision is a HealthFull/NoTraces privilege: a thread degraded to
 		// HealthFixedIBL has had optimization implicated in its failures
 		// and emits the conservative popfd form until it re-attaches.
 		elide := r.Opts.FlagsElision && ctx.health < HealthFixedIBL &&
 			(r.Opts.Mutation == MutateFlagsDead || flagsDeadFrom(list.First(), nil))
-		iblPrefix = buildIBLPrefix(ctx, tag, elide)
-		n, err := iblPrefix.EncodedLen()
-		if err != nil {
-			panic(fmt.Sprintf("core: sizing IBL prefix: %v", err))
-		}
-		prefixLen = n
+		prefix = &ctx.iblPrefix[0]
 		if elide {
+			prefix = &ctx.iblPrefix[1]
 			statInc(&r.Stats.FlagsElisions)
 		}
+		code = append(code, prefix.code...)
 	}
+	prefixLen := len(code)
 
-	// Assign stub offsets after the prefix and body.
-	off := prefixLen + bodyLen
-	for _, ei := range exits {
-		ei.stubOff = off
-		if ei.prefix != nil {
-			n, err := ei.prefix.EncodedLen()
-			if err != nil {
-				panic(fmt.Sprintf("core: sizing stub prefix: %v", err))
-			}
-			ei.prefixLen = n
-		}
-		off += ei.prefixLen + stubTailLen
+	// The body follows the prefix, and the stubs follow the body: each
+	// stub's prefix (popfd, then client stub code) ahead of a tail filled
+	// in once the addresses are known.
+	code, err := list.Layout(code)
+	if err != nil {
+		panic(fmt.Sprintf("core: encoding fragment %#x: %v", tag, err))
 	}
-	total := off
+	bodyLen := len(code) - prefixLen
+	for n := range exits {
+		ei := &exits[n]
+		ei.stubOff = len(code)
+		if ei.cti.ExitClass()&ClassFlagsPushedBit != 0 {
+			code = append(code, popfdByte)
+		}
+		ei.codeOff = len(code)
+		if ei.stub != nil {
+			if code, err = ei.stub.Layout(code); err != nil {
+				panic(fmt.Sprintf("core: encoding stub prefix: %v", err))
+			}
+		}
+		ei.prefixLen = len(code) - ei.stubOff
+		code = append(code, make([]byte, stubTailLen)...)
+	}
+	total := len(code)
 
 	// Everything from the allocation to the registration is one
 	// transaction: a failure anywhere inside rolls the reserved bytes back
@@ -148,115 +158,89 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 		Size:      total,
 		BodyLen:   bodyLen,
 		PrefixLen: prefixLen,
-		inLinks:   map[*Exit]struct{}{},
 		ctx:       ctx,
 	}
 
-	// Wire each exit CTI's initial target and build Exit records.
-	for _, ei := range exits {
-		e := &Exit{
-			Owner:        f,
-			Index:        len(f.Exits),
-			viaStub:      ei.viaStub,
-			stubAddr:     base + machine.Addr(ei.stubOff),
-			class:        ei.class,
-			clientStub:   ei.cti.ExitStub(),
-			clientAlways: ei.cti.AlwaysViaStub(),
-			id:           uint32(len(r.linkstubs)),
-		}
-		e.stubTailAddr = e.stubAddr + machine.Addr(ei.prefixLen)
-		if bt, ind := ClassBranchType(ei.class); ind {
-			e.Kind = ExitIndirect
-			e.BranchType = bt
-		} else {
-			e.Kind = ExitDirect
-			tgt, ok := ei.cti.Target()
-			if !ok {
-				panic("core: direct exit without target: " + ei.cti.String())
-			}
-			e.TargetTag = tgt
-		}
-		r.linkstubs = append(r.linkstubs, e)
-		f.Exits = append(f.Exits, e)
-
-		// Initial CTI target: through the stub, except that
-		// non-via-stub indirect exits start wired to the lookup routine
-		// when indirect linking is on.
-		ctiTarget := e.stubAddr
-		if e.Kind == ExitIndirect && !e.viaStub && r.Opts.LinkIndirect {
-			ctiTarget = ctx.iblEntry[e.BranchType]
-			e.state = stateLinkedIBL
-		}
-		ei.cti.SetTarget(ctiTarget)
-	}
-
-	// Encode the IBL prefix at the fragment base.
-	var prefixXl8 []xl8Entry
-	if iblPrefix != nil {
-		pb, poffs, err := iblPrefix.EncodeWithOffsets(base)
-		if err != nil {
-			panic(fmt.Sprintf("core: encoding IBL prefix: %v", err))
-		}
-		if len(pb) != prefixLen {
-			panic("core: IBL prefix size changed between sizing and encoding")
-		}
-		r.M.Mem.WriteBytes(base, pb)
-		// A fault inside the prefix reports the branch-target tag with the
-		// scratch state each prefix instruction annotated (eflags pushed
-		// until the popfd/lea runs, ECX spilled until the final mov).
-		iblPrefix.Instrs(func(i *instr.Instr) bool {
-			pc, scr := i.Xl8()
-			prefixXl8 = append(prefixXl8,
-				xl8Entry{off: poffs[i], app: machine.Addr(pc), scratch: scr})
-			return true
-		})
-	}
-
-	// Encode the body after the prefix.
-	body, offs, err := list.EncodeWithOffsets(base + machine.Addr(prefixLen))
-	if err != nil {
+	bodyAt := base + machine.Addr(prefixLen)
+	if err := list.Relocate(code[prefixLen:prefixLen+bodyLen], uint32(bodyAt)); err != nil {
 		panic(fmt.Sprintf("core: encoding fragment %#x: %v", tag, err))
 	}
-	if len(body) != bodyLen {
-		panic("core: body size changed between sizing and encoding")
-	}
-	r.M.Mem.WriteBytes(base+machine.Addr(prefixLen), body)
 
-	// Locate each exit CTI for future patching.
-	for n, ei := range exits {
-		e := f.Exits[n]
-		ctiOff, ok := offs[ei.cti]
-		if !ok {
-			panic("core: exit CTI not in layout")
-		}
-		e.ctiAddr = base + machine.Addr(prefixLen) + ctiOff
-		e.ctiLen = ei.cti.Len()
-	}
-
-	f.xl8 = append(prefixXl8, buildXl8(list, offs, exits, f, prefixLen)...)
-
-	// Emit the stubs.
-	for n, ei := range exits {
-		e := f.Exits[n]
-		at := e.stubAddr
-		if ei.prefix != nil {
-			pb, err := ei.prefix.Encode(uint32(at))
-			if err != nil {
-				panic(fmt.Sprintf("core: encoding stub prefix: %v", err))
+	// Build the Exit records, wire each exit CTI's initial target and
+	// write each stub.
+	if len(exits) > 0 {
+		recs := make([]Exit, len(exits))
+		f.Exits = make([]*Exit, len(exits))
+		for n := range exits {
+			ei, e := &exits[n], &recs[n]
+			class := ei.cti.ExitClass()
+			*e = Exit{
+				Owner: f,
+				Index: n,
+				// An exit routes through its stub even when linked only
+				// if the client asked for it or the runtime needs the
+				// stub's popfd (flags-pushed indirect exits). Plain
+				// custom stub code runs only while the exit is unlinked,
+				// per the paper's Section 3.2.
+				viaStub:      ei.cti.AlwaysViaStub() || class&ClassFlagsPushedBit != 0,
+				stubAddr:     base + machine.Addr(ei.stubOff),
+				class:        class,
+				clientStub:   ei.cti.ExitStub(),
+				clientAlways: ei.cti.AlwaysViaStub(),
+				id:           uint32(len(r.linkstubs)),
 			}
-			if len(pb) != ei.prefixLen {
-				panic("core: stub prefix size changed")
+			e.stubTailAddr = e.stubAddr + machine.Addr(ei.prefixLen)
+			if bt, ind := ClassBranchType(class); ind {
+				e.Kind = ExitIndirect
+				e.BranchType = bt
+			} else {
+				e.Kind = ExitDirect
+				tgt, ok := ei.cti.Target()
+				if !ok {
+					panic("core: direct exit without target: " + ei.cti.String())
+				}
+				e.TargetTag = machine.Addr(tgt)
 			}
-			r.M.Mem.WriteBytes(at, pb)
-		}
-		r.writeTailUnlinked(e)
-		// Via-stub indirect exits still reach the lookup routine when
-		// indirect linking is on: their linked form is a tail jump.
-		if e.Kind == ExitIndirect && e.viaStub && r.Opts.LinkIndirect {
-			r.writeTailJmp(e, ctx.iblEntry[e.BranchType])
-			e.state = stateLinkedIBL
+			r.linkstubs = append(r.linkstubs, e)
+			f.Exits[n] = e
+
+			// Initial CTI target: through the stub, except that
+			// non-via-stub indirect exits start wired to the lookup
+			// routine when indirect linking is on. The layout put the
+			// branch's rel32 displacement at its end.
+			ctiOff, ctiLen := ei.cti.Extent()
+			e.ctiAddr = bodyAt + machine.Addr(ctiOff)
+			e.ctiLen = int(ctiLen)
+			ctiTarget := e.stubAddr
+			if e.Kind == ExitIndirect && !e.viaStub && r.Opts.LinkIndirect {
+				ctiTarget = ctx.iblEntry[e.BranchType]
+				e.state = stateLinkedIBL
+			}
+			end := prefixLen + int(ctiOff+ctiLen)
+			binary.LittleEndian.PutUint32(code[end-4:end], uint32(ctiTarget-e.ctiAddr-machine.Addr(ctiLen)))
+
+			// The stub: its client code relocated after the popfd, then
+			// the unlinked tail, or the tail jump of a via-stub indirect
+			// exit linked to the lookup routine.
+			if ei.stub != nil {
+				at := uint32(base) + uint32(ei.codeOff)
+				if err := ei.stub.Relocate(code[ei.codeOff:ei.stubOff+ei.prefixLen], at); err != nil {
+					panic(fmt.Sprintf("core: encoding stub prefix: %v", err))
+				}
+			}
+			tail := code[ei.stubOff+ei.prefixLen:][:stubTailLen]
+			r.putTailUnlinked(tail, e)
+			if e.Kind == ExitIndirect && e.viaStub && r.Opts.LinkIndirect {
+				putJmp(tail, e.stubTailAddr, ctx.iblEntry[e.BranchType])
+				e.state = stateLinkedIBL
+			}
 		}
 	}
+	r.M.Mem.WriteBytes(base, code)
+	f.xl8 = buildXl8(list, exits, f, prefix, prefixLen)
+
+	clear(exits) // keep no pointer into this build
+	ctx.emitCode, ctx.emitExits = code[:0], exits[:0]
 
 	// Mid-emit chaos point: cache bytes allocated and fully written,
 	// nothing registered yet.
@@ -286,6 +270,8 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 // fragment from the per-instruction layout offsets and the annotations the
 // manglers attached:
 //
+//   - the IBL target prefix translates to the fragment's tag, with ECX
+//     spilled throughout and the eflags pushed until its popfd/lea has run;
 //   - a Level 0 bundle is an identity run: copied application bytes
 //     translate to their own PC plus the in-run delta;
 //   - a synthetic instruction carries an explicit SetXl8 annotation naming
@@ -300,14 +286,16 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 // The stub tail spills EAX in its first instruction, so the rest of the
 // tail adds Xl8RestoreEAX, and a flags-restoring prefix keeps the
 // Xl8FlagsPushed bit until its popfd has run.
-func buildXl8(list *instr.List, offs map[*instr.Instr]uint32, exits []*exitInfo, f *Fragment, prefixLen int) []xl8Entry {
-	var table []xl8Entry
-	list.Instrs(func(i *instr.Instr) bool {
-		off, ok := offs[i]
-		if !ok {
-			return true
-		}
-		off += uint32(prefixLen) // offsets are fragment-relative; body follows the prefix
+func buildXl8(list *instr.List, exits []exitInfo, f *Fragment, prefix *iblTargetPrefix, prefixLen int) []xl8Entry {
+	table := make([]xl8Entry, 0, 2+list.Len()+3*len(exits))
+	if prefix != nil {
+		table = append(table,
+			xl8Entry{off: 0, app: f.Tag, scratch: instr.Xl8RestoreECX | instr.Xl8FlagsPushed},
+			xl8Entry{off: prefix.movOff, app: f.Tag, scratch: instr.Xl8RestoreECX})
+	}
+	for i := list.First(); i != nil; i = i.Next() {
+		off, _ := i.Extent()
+		off += uint32(prefixLen) // offsets are list-relative; the body follows the prefix
 		switch {
 		case i.IsBundle():
 			table = append(table, xl8Entry{off: off, app: i.PC(), ident: true})
@@ -320,10 +308,10 @@ func buildXl8(list *instr.List, offs map[*instr.Instr]uint32, exits []*exitInfo,
 				table = append(table, xl8Entry{off: off}) // untranslatable
 			}
 		}
-		return true
-	})
+	}
 
-	for n, ei := range exits {
+	for n := range exits {
+		ei := &exits[n]
 		e := f.Exits[n]
 		var app machine.Addr
 		var scr uint8
@@ -346,59 +334,66 @@ func buildXl8(list *instr.List, offs map[*instr.Instr]uint32, exits []*exitInfo,
 	return table
 }
 
-// buildIBLPrefix returns the IBL target prefix for a fragment with tag:
-// the code the open-address lookup routine's hit path jumps to, completing
-// the restore the routine left unfinished (eflags pushed, ECX spilled).
+// buildIBLPrefixes encodes the two forms of the IBL target prefix for the
+// thread: the code the open-address lookup routine's hit path jumps to,
+// completing the restore the routine left unfinished (eflags pushed, ECX
+// spilled).
 //
 //	popfd | lea esp, [esp+4]   ; restore or discard the pushed eflags
 //	mov   ecx, [spillECX]      ; restore the application ECX
 //	<body>
 //
-// The elided form uses lea — which reads and writes no flags — because the
-// fragment head has been proven to rewrite all six arithmetic flags before
-// reading any (flagsDeadFrom), so the application values are dead.
-func buildIBLPrefix(ctx *Context, tag machine.Addr, elide bool) *instr.List {
+// The elided form (index 1) uses lea — which reads and writes no flags —
+// for a fragment whose head has been proven to rewrite all six arithmetic
+// flags before reading any (flagsDeadFrom), so the application values are
+// dead. Neither form has a PC-relative operand, so every fragment copies
+// the same bytes.
+func buildIBLPrefixes(ctx *Context) {
 	esp := ia32.RegOp(ia32.ESP)
-	l := instr.NewList()
-	if elide {
-		l.Append(instr.CreateLea(esp, ia32.MemOp(ia32.ESP, ia32.RegNone, 0, 4, 4)).
-			SetXl8(uint32(tag), instr.Xl8RestoreECX|instr.Xl8FlagsPushed))
-	} else {
-		l.Append(instr.CreatePopfd().
-			SetXl8(uint32(tag), instr.Xl8RestoreECX|instr.Xl8FlagsPushed))
+	restores := [2]*instr.Instr{
+		instr.CreatePopfd(),
+		instr.CreateLea(esp, ia32.MemOp(ia32.ESP, ia32.RegNone, 0, 4, 4)),
 	}
-	l.Append(instr.CreateMov(ia32.RegOp(ia32.ECX), ctx.spillOp(offSpillECX)).
-		SetXl8(uint32(tag), instr.Xl8RestoreECX))
-	return l
+	for n, restore := range restores {
+		mov := instr.CreateMov(ia32.RegOp(ia32.ECX), ctx.spillOp(offSpillECX))
+		code, err := instr.NewList(restore, mov).Encode(0)
+		if err != nil {
+			panic(fmt.Sprintf("core: encoding IBL prefix: %v", err))
+		}
+		off, _ := mov.Extent()
+		ctx.iblPrefix[n] = iblTargetPrefix{code: code, movOff: off}
+	}
+}
+
+// putTailUnlinked fills b (stubTailLen bytes) with the spill/identify/trap
+// tail of e's stub.
+func (r *RIO) putTailUnlinked(b []byte, e *Exit) {
+	b[0] = 0xA3 // mov [spillEAX], eax
+	binary.LittleEndian.PutUint32(b[1:], uint32(e.Owner.ctx.spillAddr(offSpillEAX)))
+	b[5] = 0xB8 // mov eax, id
+	binary.LittleEndian.PutUint32(b[6:], e.id)
+	putJmp(b[10:], e.stubTailAddr+10, r.exitTrap) // jmp exitTrap
+}
+
+// putJmp fills b with a direct jump, placed at address at, to target.
+func putJmp(b []byte, at, target machine.Addr) {
+	b[0] = 0xE9
+	binary.LittleEndian.PutUint32(b[1:5], uint32(target-at-5))
 }
 
 // writeTailUnlinked writes the spill/identify/trap tail of e's stub.
 func (r *RIO) writeTailUnlinked(e *Exit) {
-	ctx := e.Owner.ctx
-	var buf [stubTailLen]byte
-	b := buf[:0]
-	b = append(b, 0xA3) // mov [spillEAX], eax
-	b = append32(b, uint32(ctx.spillAddr(offSpillEAX)))
-	b = append(b, 0xB8) // mov eax, id
-	b = append32(b, e.id)
-	b = append(b, 0xE9) // jmp exitTrap
-	rel := int32(r.exitTrap) - int32(e.stubTailAddr) - stubTailLen
-	b = append32(b, uint32(rel))
-	r.M.Mem.WriteBytes(e.stubTailAddr, b)
+	var b [stubTailLen]byte
+	r.putTailUnlinked(b[:], e)
+	r.M.Mem.WriteBytes(e.stubTailAddr, b[:])
 }
 
 // writeTailJmp overwrites the stub tail with a direct jump to target (the
 // linked form of a via-stub exit).
 func (r *RIO) writeTailJmp(e *Exit, target machine.Addr) {
-	var buf [5]byte
-	buf[0] = 0xE9
-	rel := int32(target) - int32(e.stubTailAddr) - 5
-	buf[1], buf[2], buf[3], buf[4] = byte(rel), byte(rel>>8), byte(rel>>16), byte(rel>>24)
-	r.M.Mem.WriteBytes(e.stubTailAddr, buf[:])
-}
-
-func append32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	var b [5]byte
+	putJmp(b[:], e.stubTailAddr, target)
+	r.M.Mem.WriteBytes(e.stubTailAddr, b[:])
 }
 
 // patchCTI repoints e's exit branch at an absolute cache address.
@@ -439,7 +434,7 @@ func (r *RIO) link(e *Exit, f *Fragment) {
 	}
 	e.state = stateLinkedFrag
 	e.linkedTo = f
-	f.inLinks[e] = struct{}{}
+	f.addInLink(e)
 	statInc(&r.Stats.Links)
 	r.event(e.Owner.ctx.thread.ID, obs.Event{
 		Type: obs.EvLink, Tag: uint32(e.Owner.Tag), Addr: uint32(e.ctiAddr),
@@ -543,6 +538,6 @@ func (r *RIO) redirectInLinks(old, nu *Fragment) {
 		}
 		e.state = stateLinkedFrag
 		e.linkedTo = nu
-		nu.inLinks[e] = struct{}{}
+		nu.addInLink(e)
 	}
 }

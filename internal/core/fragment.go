@@ -143,7 +143,8 @@ type Fragment struct {
 
 	Exits []*Exit
 
-	// inLinks are exits of other fragments currently linked to this one.
+	// inLinks are exits of other fragments currently linked to this one
+	// (nil until the first link).
 	inLinks map[*Exit]struct{}
 
 	// shadowedBy points at the trace that replaced this basic block in
@@ -180,6 +181,14 @@ type Fragment struct {
 	birthEpoch int
 
 	ctx *Context // owning thread context
+}
+
+// addInLink records that exit e is linked to f.
+func (f *Fragment) addInLink(e *Exit) {
+	if f.inLinks == nil {
+		f.inLinks = map[*Exit]struct{}{}
+	}
+	f.inLinks[e] = struct{}{}
 }
 
 // xl8Entry maps one run of fragment bytes back to application state for

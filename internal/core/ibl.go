@@ -60,6 +60,9 @@ func (r *RIO) emitIBLRoutines(ctx *Context) {
 	// and a zero tag would false-hit a lookup of application address 0.
 	ctx.clearIBLTable()
 	r.writeIBLRoutines(ctx)
+	if r.usesIBLPrefix() {
+		buildIBLPrefixes(ctx)
+	}
 }
 
 // writeIBLRoutines (re-)emits the three lookup routines at their fixed

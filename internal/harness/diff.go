@@ -245,12 +245,15 @@ func iblSuite(p SuiteParams) (*Suite, error) {
 // live-byte gauges must read nonzero. Adaptive sizing, which starts at 512
 // bytes, must never end up slower than staying there (the point of Section
 // 6.2), and both adaptive columns must resize somewhere. The published sweep
-// is the first six columns.
+// is the first six columns. The two stress columns run with phase
+// accounting and fragment profiles on, so that each of their cells must
+// also conserve ticks and profile counts (oracle.Outcome.Failure) under
+// maximal eviction and under adaptive resizing.
 func cacheSweepSuite(p SuiteParams) (*Suite, error) {
-	adaptiveFrom := func(bytes int) func() core.Options {
+	adaptiveFrom := func(bytes int, profile bool) func() core.Options {
 		return defaultWith(func(o *core.Options) {
 			bounded(bytes)(o)
-			o.AdaptiveCache = true
+			o.AdaptiveCache, o.Profile = true, profile
 		})
 	}
 	configs := []oracle.Config{
@@ -259,9 +262,9 @@ func cacheSweepSuite(p SuiteParams) (*Suite, error) {
 		{Name: "2k", Opts: defaultWith(bounded(2 << 10))},
 		{Name: "4k", Opts: defaultWith(bounded(4 << 10))},
 		{Name: "unbounded", Opts: core.Default},
-		{Name: "adaptive", Opts: adaptiveFrom(512)},
-		{Name: "single-fragment", Opts: defaultWith(bounded(16))},
-		{Name: "adaptive-from-2k", Opts: adaptiveFrom(2 << 10)},
+		{Name: "adaptive", Opts: adaptiveFrom(512, false)},
+		{Name: "single-fragment", Opts: defaultWith(func(o *core.Options) { bounded(16)(o); o.Profile = true })},
+		{Name: "adaptive-from-2k", Opts: adaptiveFrom(2<<10, true)},
 	}
 	n := len(configs)
 	return &Suite{

@@ -284,14 +284,18 @@ func Decode(mem []byte, pc uint32) (Inst, error) {
 		Tmpl:     tm,
 		Len:      uint8(p.length),
 	}
-	if n := len(tm.Dsts); n > 0 {
-		in.Dsts = make([]Operand, n)
+	// One backing array holds both operand lists; Dsts is capped so that
+	// appending to it cannot overwrite Srcs.
+	nd, ns := len(tm.Dsts), len(tm.Srcs)
+	ops := make([]Operand, nd+ns)
+	if nd > 0 {
+		in.Dsts = ops[:nd:nd]
 		for j, sp := range tm.Dsts {
 			in.Dsts[j] = p.operandFor(sp, in.Dsts, pc)
 		}
 	}
-	if n := len(tm.Srcs); n > 0 {
-		in.Srcs = make([]Operand, n)
+	if ns > 0 {
+		in.Srcs = ops[nd:]
 		for j, sp := range tm.Srcs {
 			in.Srcs[j] = p.operandFor(sp, in.Dsts, pc)
 		}

@@ -337,3 +337,20 @@ func TestRegisterHelpers(t *testing.T) {
 		t.Error("RegByName wrong")
 	}
 }
+
+// TestDecodeOperandListsIndependent checks that the destination and source
+// lists, which share one backing array, stay independent: appending to
+// Dsts must not overwrite Srcs.
+func TestDecodeOperandListsIndependent(t *testing.T) {
+	in, err := Decode([]byte{0x01, 0xd8}, 0) // add eax, ebx
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Operand(nil), in.Srcs...)
+	_ = append(in.Dsts, ImmOp(7, 4))
+	for n := range want {
+		if !in.Srcs[n].Equal(want[n]) {
+			t.Fatalf("src %d = %v after appending to Dsts, want %v", n, in.Srcs[n], want[n])
+		}
+	}
+}

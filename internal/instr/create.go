@@ -18,15 +18,28 @@ func Create(op ia32.Opcode, dsts, srcs []ia32.Operand) *Instr {
 	return in
 }
 
+// createOps is Create with both operand lists in one allocation: the first
+// nd operands are the destinations, the rest the sources.
+func createOps(op ia32.Opcode, nd int, ops ...ia32.Operand) *Instr {
+	var dsts, srcs []ia32.Operand
+	if nd > 0 {
+		dsts = ops[:nd:nd]
+	}
+	if len(ops) > nd {
+		srcs = ops[nd:]
+	}
+	return Create(op, dsts, srcs)
+}
+
 // binary builds a standard read-modify-write two-operand instruction: the
 // destination is also an implicit source.
 func binary(op ia32.Opcode, dst, src ia32.Operand) *Instr {
-	return Create(op, []ia32.Operand{dst}, []ia32.Operand{src, dst})
+	return createOps(op, 1, dst, src, dst)
 }
 
 // unary builds a one-operand read-modify-write instruction.
 func unary(op ia32.Opcode, dst ia32.Operand) *Instr {
-	return Create(op, []ia32.Operand{dst}, []ia32.Operand{dst})
+	return createOps(op, 1, dst, dst)
 }
 
 // CreateAdd returns add dst, src.
@@ -62,27 +75,27 @@ func CreateTest(a, b ia32.Operand) *Instr {
 
 // CreateMov returns mov dst, src.
 func CreateMov(dst, src ia32.Operand) *Instr {
-	return Create(ia32.OpMov, []ia32.Operand{dst}, []ia32.Operand{src})
+	return createOps(ia32.OpMov, 1, dst, src)
 }
 
 // CreateMovzx returns movzx dst, src.
 func CreateMovzx(dst, src ia32.Operand) *Instr {
-	return Create(ia32.OpMovzx, []ia32.Operand{dst}, []ia32.Operand{src})
+	return createOps(ia32.OpMovzx, 1, dst, src)
 }
 
 // CreateMovsx returns movsx dst, src.
 func CreateMovsx(dst, src ia32.Operand) *Instr {
-	return Create(ia32.OpMovsx, []ia32.Operand{dst}, []ia32.Operand{src})
+	return createOps(ia32.OpMovsx, 1, dst, src)
 }
 
 // CreateLea returns lea dst, [mem].
 func CreateLea(dst, mem ia32.Operand) *Instr {
-	return Create(ia32.OpLea, []ia32.Operand{dst}, []ia32.Operand{mem})
+	return createOps(ia32.OpLea, 1, dst, mem)
 }
 
 // CreateXchg returns xchg a, b.
 func CreateXchg(a, b ia32.Operand) *Instr {
-	return Create(ia32.OpXchg, []ia32.Operand{a, b}, []ia32.Operand{a, b})
+	return createOps(ia32.OpXchg, 2, a, b, a, b)
 }
 
 // CreateInc returns inc dst.
@@ -111,7 +124,7 @@ func CreateImul(dst, src ia32.Operand) *Instr { return binary(ia32.OpImul, dst, 
 
 // CreateImulImm returns imul dst, src, imm (three-operand form).
 func CreateImulImm(dst, src, imm ia32.Operand) *Instr {
-	return Create(ia32.OpImul, []ia32.Operand{dst}, []ia32.Operand{src, imm})
+	return createOps(ia32.OpImul, 1, dst, src, imm)
 }
 
 // Implicit stack operands.
@@ -122,26 +135,22 @@ func espOp() ia32.Operand       { return ia32.RegOp(ia32.ESP) }
 // CreatePush returns push src, with the implicit stack write and ESP update
 // filled in.
 func CreatePush(src ia32.Operand) *Instr {
-	return Create(ia32.OpPush,
-		[]ia32.Operand{stackPushOp(), espOp()},
-		[]ia32.Operand{src, espOp()})
+	return createOps(ia32.OpPush, 2, stackPushOp(), espOp(), src, espOp())
 }
 
 // CreatePop returns pop dst.
 func CreatePop(dst ia32.Operand) *Instr {
-	return Create(ia32.OpPop,
-		[]ia32.Operand{dst, espOp()},
-		[]ia32.Operand{stackPopOp(), espOp()})
+	return createOps(ia32.OpPop, 2, dst, espOp(), stackPopOp(), espOp())
 }
 
 // CreatePushfd returns pushfd.
 func CreatePushfd() *Instr {
-	return Create(ia32.OpPushfd, []ia32.Operand{stackPushOp(), espOp()}, []ia32.Operand{espOp()})
+	return createOps(ia32.OpPushfd, 2, stackPushOp(), espOp(), espOp())
 }
 
 // CreatePopfd returns popfd.
 func CreatePopfd() *Instr {
-	return Create(ia32.OpPopfd, []ia32.Operand{espOp()}, []ia32.Operand{stackPopOp(), espOp()})
+	return createOps(ia32.OpPopfd, 1, espOp(), stackPopOp(), espOp())
 }
 
 // CreateJmp returns a direct jump to the absolute address target.
@@ -182,23 +191,17 @@ func CreateJccInstr(op ia32.Opcode, target *Instr) *Instr {
 
 // CreateCall returns a direct call to the absolute address target.
 func CreateCall(target uint32) *Instr {
-	return Create(ia32.OpCall,
-		[]ia32.Operand{stackPushOp(), espOp()},
-		[]ia32.Operand{ia32.PCOp(target), espOp()})
+	return createOps(ia32.OpCall, 2, stackPushOp(), espOp(), ia32.PCOp(target), espOp())
 }
 
 // CreateCallInd returns an indirect call through src.
 func CreateCallInd(src ia32.Operand) *Instr {
-	return Create(ia32.OpCallInd,
-		[]ia32.Operand{stackPushOp(), espOp()},
-		[]ia32.Operand{src, espOp()})
+	return createOps(ia32.OpCallInd, 2, stackPushOp(), espOp(), src, espOp())
 }
 
 // CreateRet returns a near return.
 func CreateRet() *Instr {
-	return Create(ia32.OpRet,
-		[]ia32.Operand{espOp()},
-		[]ia32.Operand{stackPopOp(), espOp()})
+	return createOps(ia32.OpRet, 1, espOp(), stackPopOp(), espOp())
 }
 
 // CreateSetcc returns setcc dst for the given setcc opcode (OpSetz etc.);
@@ -215,7 +218,7 @@ func CreateCmovcc(op ia32.Opcode, dst, src ia32.Operand) *Instr {
 	if _, ok := ia32.CmovCondCode(op); !ok {
 		panic("instr: CreateCmovcc with non-cmovcc opcode " + op.String())
 	}
-	return Create(op, []ia32.Operand{dst}, []ia32.Operand{src, dst})
+	return createOps(op, 1, dst, src, dst)
 }
 
 // CreateNop returns a nop.

@@ -21,108 +21,77 @@ func (i *Instr) needsReencode() bool {
 		}
 		i.raise(Level2)
 	}
-	return i.op.IsCTI() && !i.op.IsIndirect()
+	return i.isDirectCTI()
 }
 
-// encSize returns the exact number of bytes EncodeTo will emit for i.
-func (i *Instr) encSize() (int, error) {
-	if i.needsReencode() {
-		i.raise(Level3)
-		return ia32.EncodedLen(&i.inst)
-	}
-	return len(i.raw), nil
+// isDirectCTI reports whether the instruction is a control transfer with a
+// PC-relative target. It does not raise the instruction: after Layout every
+// non-bundle is at Level 2 or above.
+func (i *Instr) isDirectCTI() bool {
+	return i.level >= Level2 && i.op.IsCTI() && !i.op.IsIndirect()
 }
 
-// EncodeWithOffsets is Encode, additionally reporting each instruction's
-// offset from pc — embedders use it to locate exit branches for later
-// patching (linking and unlinking).
-func (l *List) EncodeWithOffsets(pc uint32) ([]byte, map[*Instr]uint32, error) {
-	offs := make(map[*Instr]uint32, l.n)
-	off := uint32(0)
+// Layout appends the list's machine code to buf in one walk, encoding each
+// instruction once, and records each instruction's offset from the list's
+// first byte and its encoded length (see Extent). Instructions with valid
+// raw bytes are a bare copy; Level 4 instructions and direct CTIs go
+// through the template-matching encoder. Every encodable direct CTI is a
+// rel32 form whose displacement ends the instruction (the rel8 forms are
+// decode-only), so no length depends on where the list is placed: the
+// displacements are left for Relocate to write once the address is known.
+func (l *List) Layout(buf []byte) ([]byte, error) {
+	start := len(buf)
 	for i := l.first; i != nil; i = i.next {
-		offs[i] = off
-		n, err := i.encSize()
-		if err != nil {
-			return nil, nil, fmt.Errorf("instr: sizing %s: %w", i, err)
-		}
-		off += uint32(n)
-	}
-	buf, err := l.EncodeTo(pc, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buf, offs, nil
-}
-
-// Encode lays the list out at address pc and returns the encoded bytes.
-// Instructions with valid raw bytes are emitted with a bare copy; Level 4
-// instructions and direct CTIs go through the template-matching encoder.
-// Intra-list branch targets (SetTargetInstr) are resolved to their final
-// addresses.
-func (l *List) Encode(pc uint32) ([]byte, error) {
-	return l.EncodeTo(pc, nil)
-}
-
-// EncodeTo is Encode appending to buf.
-func (l *List) EncodeTo(pc uint32, buf []byte) ([]byte, error) {
-	// Pass 1: compute each instruction's offset.
-	offsets := make(map[*Instr]uint32, l.n)
-	off := uint32(0)
-	for i := l.first; i != nil; i = i.next {
-		offsets[i] = off
-		n, err := i.encSize()
-		if err != nil {
-			return nil, fmt.Errorf("instr: sizing %s: %w", i, err)
-		}
-		off += uint32(n)
-	}
-
-	// Pass 2: emit.
-	for i := l.first; i != nil; i = i.next {
-		at := pc + offsets[i]
-		if !i.needsReencode() {
-			buf = append(buf, i.raw...)
-			continue
-		}
-		inst := i.inst
-		if i.target != nil {
-			toff, ok := offsets[i.target]
-			if !ok {
-				return nil, fmt.Errorf("instr: branch target not in list: %s", i)
+		at := len(buf)
+		if i.needsReencode() {
+			i.raise(Level3)
+			var err error
+			if buf, err = ia32.Encode(&i.inst, uint32(at-start), buf); err != nil {
+				return nil, fmt.Errorf("instr: encoding %s: %w", i, err)
 			}
-			inst = retarget(inst, pc+toff)
+		} else {
+			buf = append(buf, i.raw...)
 		}
-		var err error
-		buf, err = ia32.Encode(&inst, at, buf)
-		if err != nil {
-			return nil, fmt.Errorf("instr: encoding %s: %w", i, err)
-		}
+		i.off, i.size = uint32(at-start), uint32(len(buf)-at)
 	}
 	return buf, nil
 }
 
-// EncodedLen returns the total encoded size of the list in bytes.
-func (l *List) EncodedLen() (int, error) {
-	total := 0
+// Relocate places a laid-out list at address pc: code holds the list's
+// bytes exactly as its last Layout appended them. It writes the rel32
+// displacement of every direct CTI, resolving an intra-list target
+// (SetTargetInstr) from that instruction's recorded offset. The list must
+// not change between Layout and Relocate.
+func (l *List) Relocate(code []byte, pc uint32) error {
 	for i := l.first; i != nil; i = i.next {
-		n, err := i.encSize()
-		if err != nil {
-			return 0, err
+		if !i.isDirectCTI() {
+			continue
 		}
-		total += n
+		var target uint32
+		if t := i.target; t != nil {
+			if t.list != l {
+				return fmt.Errorf("instr: branch target not in list: %s", i)
+			}
+			target = pc + t.off
+		} else {
+			target, _ = i.inst.Target()
+		}
+		end := i.off + i.size
+		rel := target - (pc + end)
+		code[end-4], code[end-3], code[end-2], code[end-1] = byte(rel), byte(rel>>8), byte(rel>>16), byte(rel>>24)
 	}
-	return total, nil
+	return nil
 }
 
-// retarget returns a copy of inst with its PC operand pointing at target.
-func retarget(inst ia32.Inst, target uint32) ia32.Inst {
-	srcs := append([]ia32.Operand(nil), inst.Srcs...)
-	for n, o := range srcs {
-		if o.Kind == ia32.OperandPC {
-			srcs[n] = ia32.PCOp(target)
-			break
-		}
+// Encode lays the list out at address pc and returns the encoded bytes:
+// Layout followed by Relocate. Instructions with valid raw bytes are
+// emitted with a bare copy; Level 4 instructions and direct CTIs go through
+// the template-matching encoder. Intra-list branch targets (SetTargetInstr)
+// are resolved to their final addresses.
+func (l *List) Encode(pc uint32) ([]byte, error) {
+	buf, err := l.Layout(nil)
+	if err != nil {
+		return nil, err
 	}
-	inst.Srcs = srcs
-	return inst
+	return buf, l.Relocate(buf, pc)
 }

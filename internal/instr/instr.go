@@ -88,6 +88,11 @@ type Instr struct {
 	// mangling passes set these only on the synthetic code they insert.
 	xl8     uint32
 	scratch uint8
+
+	// off and size are where the containing list's last Layout put the
+	// instruction: its offset from the list's first byte and its encoded
+	// length.
+	off, size uint32
 }
 
 // Scratch-state bits for SetXl8: what a fault-time state translator must
@@ -407,6 +412,12 @@ func (i *Instr) Len() int {
 	}
 	return n
 }
+
+// Extent returns where the containing list's last Layout put the
+// instruction: its offset from the list's first byte and its encoded length
+// there (a direct CTI is always laid out in its rel32 form, whatever the
+// length of its raw bytes).
+func (i *Instr) Extent() (off, n uint32) { return i.off, i.size }
 
 // Copy returns an unlinked deep copy of the instruction (the note field is
 // copied by reference; stub code is shared).

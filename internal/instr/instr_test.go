@@ -505,13 +505,15 @@ func TestMarkModifiedForcesReencode(t *testing.T) {
 	}
 }
 
+// TestEncodeWithOffsetsDirect checks the offsets and lengths Layout records
+// on each instruction, and the total it lays out.
 func TestEncodeWithOffsetsDirect(t *testing.T) {
 	l := NewList(
 		CreateNop(), // 1 byte
 		CreateMov(ia32.RegOp(ia32.EAX), ia32.Imm32(7)), // 5 bytes
 		CreateRet(), // 1 byte
 	)
-	buf, offs, err := l.EncodeWithOffsets(0x100)
+	buf, err := l.Encode(0x100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,16 +521,17 @@ func TestEncodeWithOffsetsDirect(t *testing.T) {
 		t.Fatalf("encoded %d bytes", len(buf))
 	}
 	wantOffs := []uint32{0, 1, 6}
+	wantLens := []uint32{1, 5, 1}
 	i := l.First()
 	for n, w := range wantOffs {
-		if offs[i] != w {
-			t.Errorf("instr %d offset = %d, want %d", n, offs[i], w)
+		if off, size := i.Extent(); off != w || size != wantLens[n] {
+			t.Errorf("instr %d extent = %d+%d, want %d+%d", n, off, size, w, wantLens[n])
 		}
 		i = i.Next()
 	}
-	total, err := l.EncodedLen()
-	if err != nil || total != 7 {
-		t.Errorf("EncodedLen = %d, %v", total, err)
+	laid, err := l.Layout(nil)
+	if err != nil || len(laid) != 7 {
+		t.Errorf("Layout = %d bytes, %v", len(laid), err)
 	}
 }
 

@@ -77,6 +77,10 @@ type Outcome struct {
 	// InvariantErr is the first CheckCacheInvariants failure over the
 	// attached threads after the run.
 	InvariantErr string `json:"invariant_err,omitempty"`
+	// LiveBB and LiveTrace count the fragments still live at the end of
+	// the run, the third term of fragment conservation.
+	LiveBB    uint64 `json:"-"`
+	LiveTrace uint64 `json:"-"`
 	// Ticks is the runtime run's simulated time and NativeTicks the
 	// reference run's: their ratio is the paper's normalized execution time.
 	Ticks       machine.Ticks `json:"ticks"`
@@ -102,23 +106,68 @@ type Outcome struct {
 // of the paper's tables and figures.
 func (o Outcome) Normalized() float64 { return float64(o.Ticks) / float64(o.NativeTicks) }
 
-// Failure describes why the outcome fails — a run error, an oracle mismatch,
-// a failed rollback audit, a broken cache invariant or phase ticks that do
-// not sum to the run's ticks — or returns "" when it passes.
+// Failure describes why the outcome fails, or returns "" when it passes.
+// Every cell must have run, matched native, passed its rollback audits and
+// cache invariants, and conserved fragments (fragmentsConserved). A
+// profiled cell must also conserve ticks (the phases sum to the run's
+// ticks), put ticks in cache-resident application code, charge eviction
+// work to the eviction phase, and record one profile build per fragment
+// built and one profile eviction per eviction.
 func (o Outcome) Failure() string {
+	s := &o.Stats
 	switch {
 	case o.Err != "":
 		return "error: " + o.Err
 	case !o.Match:
 		return "mismatch: " + o.Mismatch
-	case o.Stats.RecoveryAuditFailures != 0:
-		return fmt.Sprintf("audit: %d rollback audits failed", o.Stats.RecoveryAuditFailures)
+	case s.RecoveryAuditFailures != 0:
+		return fmt.Sprintf("audit: %d rollback audits failed", s.RecoveryAuditFailures)
 	case o.InvariantErr != "":
 		return "invariant: " + o.InvariantErr
-	case o.Phases != nil && o.Phases.Sum() != uint64(o.Ticks):
-		return fmt.Sprintf("phases: phase ticks sum to %d, run ticks %d", o.Phases.Sum(), o.Ticks)
+	case !o.fragmentsConserved():
+		return fmt.Sprintf("fragments: built %d blocks + %d traces (%d replaced), live %d + %d, deleted %d + %d of %d",
+			s.BlocksBuilt, s.TracesBuilt, s.Replacements, o.LiveBB, o.LiveTrace,
+			s.FragmentsDeletedBB, s.FragmentsDeletedTrace, s.FragmentsDeleted)
+	case o.Phases == nil:
+		return ""
+	}
+	pt := o.Phases
+	var builds, evictions uint64
+	for _, p := range o.Profiles {
+		builds += p.Builds
+		evictions += p.Evictions
+	}
+	switch {
+	case pt.Sum() != uint64(o.Ticks):
+		return fmt.Sprintf("phases: phase ticks sum to %d, run ticks %d", pt.Sum(), o.Ticks)
+	case pt[obs.PhaseAppCacheBB]+pt[obs.PhaseAppCacheTrace] == 0:
+		return "phases: no ticks in cache-resident application code"
+	case s.Evictions > 0 && pt[obs.PhaseEviction] == 0:
+		return fmt.Sprintf("phases: %d evictions but no eviction-phase ticks", s.Evictions)
+	case builds != s.BlocksBuilt+s.TracesBuilt || evictions != s.Evictions:
+		return fmt.Sprintf("profile: %d builds and %d evictions, Stats %d + %d built and %d evicted",
+			builds, evictions, s.BlocksBuilt, s.TracesBuilt, s.Evictions)
 	}
 	return ""
+}
+
+// fragmentsConserved reports whether everything the run built is still
+// live or was delivered deleted, per kind. A run whose thread recovered
+// from a failure or detached is exempt: a rolled-back build was counted
+// but never registered. A replacement (ReplaceFragment) emits a fragment
+// the built counters do not count, so with replacements only the totals
+// are compared.
+func (o Outcome) fragmentsConserved() bool {
+	s := &o.Stats
+	switch {
+	case s.FragmentsDeleted != s.FragmentsDeletedBB+s.FragmentsDeletedTrace:
+		return false
+	case s.Recoveries != 0 || s.Detaches != 0:
+		return true
+	case s.Replacements != 0:
+		return s.BlocksBuilt+s.TracesBuilt+s.Replacements == o.LiveBB+o.LiveTrace+s.FragmentsDeleted
+	}
+	return s.BlocksBuilt == o.LiveBB+s.FragmentsDeletedBB && s.TracesBuilt == o.LiveTrace+s.FragmentsDeletedTrace
 }
 
 // TotalFires sums the chaos injections of the run.
@@ -357,6 +406,7 @@ func runCell(o *Outcome, c Case, cfg Config, p Perturbation, ref reference) erro
 	o.Mismatch = Mismatch(ref.want, got)
 	o.Faults = len(got.Faults)
 	o.Stats = r.StatsSnapshot()
+	o.LiveBB, o.LiveTrace = r.LiveFragmentCounts()
 	// Pure emulation builds no code cache, so there is nothing to audit.
 	for _, t := range m.Threads {
 		ctx := r.ContextOf(t)
