@@ -266,6 +266,12 @@ func (r *RIO) deliverDeleted(ctx *Context) {
 				}
 			}
 		}
+		// Reuse the array for the next batch unless a hook queued more
+		// (those wait for the next safe point in their own array).
+		if ctx.pendingDeleted == nil {
+			clear(dead)
+			ctx.pendingDeleted = dead[:0]
+		}
 	}
 }
 

@@ -106,55 +106,6 @@ func (c *CPU) setSZP(r uint32, size uint8) {
 	}
 }
 
-// flagsAdd sets all six flags for r = a + b + carryIn.
-func (c *CPU) flagsAdd(a, b, carryIn uint32, size uint8) uint32 {
-	mask := sizeMask(size)
-	a &= mask
-	b &= mask
-	wide := uint64(a) + uint64(b) + uint64(carryIn)
-	r := uint32(wide) & mask
-	c.Eflags &^= ia32.FlagsAll
-	if wide > uint64(mask) {
-		c.Eflags |= ia32.FlagCF
-	}
-	if (^(a ^ b) & (a ^ r) & signBit(size)) != 0 {
-		c.Eflags |= ia32.FlagOF
-	}
-	if (a^b^r)&0x10 != 0 {
-		c.Eflags |= ia32.FlagAF
-	}
-	c.setSZP(r, size)
-	return r
-}
-
-// flagsSub sets all six flags for r = a - b - borrowIn.
-func (c *CPU) flagsSub(a, b, borrowIn uint32, size uint8) uint32 {
-	mask := sizeMask(size)
-	a &= mask
-	b &= mask
-	wide := uint64(a) - uint64(b) - uint64(borrowIn)
-	r := uint32(wide) & mask
-	c.Eflags &^= ia32.FlagsAll
-	if uint64(a) < uint64(b)+uint64(borrowIn) {
-		c.Eflags |= ia32.FlagCF
-	}
-	if ((a ^ b) & (a ^ r) & signBit(size)) != 0 {
-		c.Eflags |= ia32.FlagOF
-	}
-	if (a^b^r)&0x10 != 0 {
-		c.Eflags |= ia32.FlagAF
-	}
-	c.setSZP(r, size)
-	return r
-}
-
-// flagsLogic sets flags for a logical result: CF=OF=AF=0, SZP from r.
-func (c *CPU) flagsLogic(r uint32, size uint8) uint32 {
-	c.Eflags &^= ia32.FlagsAll
-	c.setSZP(r, size)
-	return r & sizeMask(size)
-}
-
 // condHolds evaluates an IA-32 condition code against the flags.
 func condHolds(cc uint8, f uint32) bool {
 	var v bool
@@ -549,20 +500,14 @@ func execTestRI32(m *Machine, t *Thread, ci *cachedInst) error {
 
 func execIncR32(m *Machine, t *Thread, ci *cachedInst) error {
 	c := &t.CPU
-	savedCF := c.Eflags & ia32.FlagCF
-	r := c.flagsAdd(c.R[ci.r1&7], 1, 0, 4)
-	c.Eflags = c.Eflags&^ia32.FlagCF | savedCF // inc/dec preserve CF
-	c.R[ci.r1&7] = r
+	c.R[ci.r1&7] = c.flagsInc(c.R[ci.r1&7], 4)
 	c.EIP = ci.next
 	return nil
 }
 
 func execDecR32(m *Machine, t *Thread, ci *cachedInst) error {
 	c := &t.CPU
-	savedCF := c.Eflags & ia32.FlagCF
-	r := c.flagsSub(c.R[ci.r1&7], 1, 0, 4)
-	c.Eflags = c.Eflags&^ia32.FlagCF | savedCF // inc/dec preserve CF
-	c.R[ci.r1&7] = r
+	c.R[ci.r1&7] = c.flagsDec(c.R[ci.r1&7], 4)
 	c.EIP = ci.next
 	return nil
 }
@@ -634,10 +579,7 @@ func execAdd(m *Machine, t *Thread, ci *cachedInst) error {
 
 func execAdc(m *Machine, t *Thread, ci *cachedInst) error {
 	in := &ci.inst
-	carry := uint32(0)
-	if t.CPU.Eflags&ia32.FlagCF != 0 {
-		carry = 1
-	}
+	carry := t.CPU.carry()
 	a := m.readOp(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsAdd(a, b, carry, ci.size))
@@ -656,10 +598,7 @@ func execSub(m *Machine, t *Thread, ci *cachedInst) error {
 
 func execSbb(m *Machine, t *Thread, ci *cachedInst) error {
 	in := &ci.inst
-	borrow := uint32(0)
-	if t.CPU.Eflags&ia32.FlagCF != 0 {
-		borrow = 1
-	}
+	borrow := t.CPU.carry()
 	a := m.readOp(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsSub(a, b, borrow, ci.size))
@@ -680,9 +619,7 @@ func execInc(m *Machine, t *Thread, ci *cachedInst) error {
 	in := &ci.inst
 	c := &t.CPU
 	a := m.readOp(t, &in.Dsts[0])
-	savedCF := c.Eflags & ia32.FlagCF
-	r := c.flagsAdd(a, 1, 0, ci.size)
-	c.Eflags = c.Eflags&^ia32.FlagCF | savedCF // inc/dec preserve CF
+	r := c.flagsInc(a, ci.size)
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
 	return nil
@@ -692,9 +629,7 @@ func execDec(m *Machine, t *Thread, ci *cachedInst) error {
 	in := &ci.inst
 	c := &t.CPU
 	a := m.readOp(t, &in.Dsts[0])
-	savedCF := c.Eflags & ia32.FlagCF
-	r := c.flagsSub(a, 1, 0, ci.size)
-	c.Eflags = c.Eflags&^ia32.FlagCF | savedCF // inc/dec preserve CF
+	r := c.flagsDec(a, ci.size)
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
 	return nil
@@ -765,6 +700,7 @@ func execImul(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	wide := a * b
 	r := uint32(wide)
+	c.lazy.op = lazyNone // all six flags are written here
 	c.Eflags &^= ia32.FlagsAll
 	if wide != int64(int32(r)) {
 		c.Eflags |= ia32.FlagCF | ia32.FlagOF
@@ -793,6 +729,7 @@ func execDiv(m *Machine, t *Thread, ci *cachedInst) error {
 	c.R[2] = uint32(n % uint64(d))
 	// The real instruction leaves all six flags undefined; clearing them
 	// is the deterministic choice.
+	c.lazy.op = lazyNone
 	c.Eflags &^= ia32.FlagsAll
 	c.EIP = ci.next
 	return nil
@@ -804,6 +741,7 @@ func execDiv(m *Machine, t *Thread, ci *cachedInst) error {
 func (m *Machine) finishShift(t *Thread, ci *cachedInst, a, r, cf uint32) {
 	c := &t.CPU
 	r &= sizeMask(ci.size)
+	c.lazy.op = lazyNone // all six flags are written here
 	c.Eflags &^= ia32.FlagsAll
 	if cf != 0 {
 		c.Eflags |= ia32.FlagCF
@@ -876,6 +814,7 @@ func execRol(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	r := (a<<amt | a>>(bits-amt)) & sizeMask(ci.size)
 	cf := r & 1
+	c.materialize() // rol writes only CF and OF
 	c.Eflags &^= ia32.FlagCF | ia32.FlagOF
 	if cf != 0 {
 		c.Eflags |= ia32.FlagCF
@@ -901,6 +840,7 @@ func execRor(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	r := (a>>amt | a<<(bits-amt)) & sizeMask(ci.size)
 	cf := r >> (bits - 1) & 1
+	c.materialize() // ror writes only CF and OF
 	c.Eflags &^= ia32.FlagCF | ia32.FlagOF
 	if cf != 0 {
 		c.Eflags |= ia32.FlagCF
@@ -966,6 +906,7 @@ func execPushfd(m *Machine, t *Thread, ci *cachedInst) error {
 	c.R[iESP] = sp
 	m.Stats.Stores++
 	m.Ticks += m.Profile.StoreExtra
+	c.materialize()
 	m.Mem.Write32(sp, c.Eflags|0x2) // bit 1 always set on IA-32
 	c.EIP = ci.next
 	return nil
@@ -976,6 +917,7 @@ func execPopfd(m *Machine, t *Thread, ci *cachedInst) error {
 	sp := c.R[iESP]
 	m.Stats.Loads++
 	m.Ticks += m.Profile.LoadExtra
+	c.lazy.op = lazyNone
 	c.Eflags = m.Mem.Read32(sp) & ia32.FlagsAll
 	c.R[iESP] = sp + 4
 	c.EIP = ci.next
@@ -1066,12 +1008,14 @@ func execHlt(m *Machine, t *Thread, ci *cachedInst) error {
 
 func execInt(m *Machine, t *Thread, ci *cachedInst) error {
 	m.Stats.Syscalls++
+	t.CPU.materialize() // the syscall and the hooks it runs see exact flags
 	t.CPU.EIP = ci.next
 	return m.syscall(t, ci.cc) // ci.cc holds the interrupt vector
 }
 
 func execSetcc(m *Machine, t *Thread, ci *cachedInst) error {
 	v := uint32(0)
+	t.CPU.materialize()
 	if condHolds(ci.cc, t.CPU.Eflags) {
 		v = 1
 	}
@@ -1083,6 +1027,7 @@ func execSetcc(m *Machine, t *Thread, ci *cachedInst) error {
 func execCmovcc(m *Machine, t *Thread, ci *cachedInst) error {
 	in := &ci.inst
 	v := m.readOp(t, &in.Srcs[0])
+	t.CPU.materialize()
 	if condHolds(ci.cc, t.CPU.Eflags) {
 		m.writeOp(t, &in.Dsts[0], v)
 	}
@@ -1093,6 +1038,7 @@ func execCmovcc(m *Machine, t *Thread, ci *cachedInst) error {
 func execJcc(m *Machine, t *Thread, ci *cachedInst) error {
 	c := &t.CPU
 	pc := c.EIP
+	c.materialize()
 	taken := condHolds(ci.cc, c.Eflags)
 	m.Stats.CondBranches++
 	if !t.pred.predictCond(pc, taken) {

@@ -124,6 +124,7 @@ func (m *Machine) injectionFor(thread int, ordinal uint64) *faultInjection {
 // handler, the thread alone is halted with the fault recorded. It never
 // returns an error that would stop the machine.
 func (m *Machine) raiseFault(t *Thread, f *Fault) error {
+	t.CPU.materialize() // the translator and the handler see exact flags
 	f.Thread = t.ID
 	f.EIP = t.CPU.EIP
 	if m.faultTranslator != nil && !m.faultTranslator(t, f) {

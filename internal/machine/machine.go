@@ -37,6 +37,11 @@ type CPU struct {
 	R      [8]uint32 // general-purpose registers indexed by ia32 encoding
 	Eflags uint32
 	EIP    Addr
+
+	// lazy is the last arithmetic-flag producer not yet folded into Eflags
+	// (see flags.go). It is empty whenever control is outside the
+	// machine's execution loop, so Eflags is then exact.
+	lazy lazyFlags
 }
 
 // regDesc locates a register of any width within the 32-bit register file:
@@ -85,14 +90,14 @@ type Thread struct {
 	Halted   bool
 	ExitCode int32
 
-	// Instret counts instructions retired by this thread.
-	Instret uint64
-
 	// FaultHandler, when nonzero, receives synchronous faults: the machine
 	// pushes kind/address/EIP and transfers there. With no handler a fault
 	// halts the thread with FaultRecord set. Programs register a handler
 	// with the SysSetFaultHandler system call.
 	FaultHandler Addr
+
+	// Instret counts instructions retired by this thread.
+	Instret uint64
 
 	// FaultRecord is the fault that halted this thread, if any.
 	FaultRecord *Fault
@@ -151,6 +156,12 @@ type Machine struct {
 	traps    map[Addr]TrapFunc
 	nextTrap Addr
 
+	// stepOnly makes Run execute one Step at a time, never a block, and
+	// fold the flags after each Step with stepOnlyFlags; the block-vs-step
+	// differential test sets it (export_test.go). It sits in nextTrap's
+	// padding, which keeps Machine in its allocation size class.
+	stepOnly bool
+
 	interceptSignal SignalInterceptor
 	spawnHook       spawnHookFunc
 	faultTranslator FaultTranslator
@@ -196,8 +207,13 @@ type Stats struct {
 // the decodes it overlaps, which is what keeps fused dispatch correct under
 // self-modifying code (fragment replacement, InvalidateRange).
 type cachedInst struct {
-	inst   ia32.Inst
-	fn     execThunk
+	inst ia32.Inst
+	fn   execThunk
+	// succ is the decode at next, linked by the block runner the first time
+	// execution falls through to it (see link). Links stay within one
+	// 256-byte chunk, and dropping any decode of a chunk clears every succ
+	// in it, so a link never outlives the decode it points to.
+	succ   *cachedInst
 	next   Addr   // EIP after fall-through (entry pc + inst.Len)
 	target Addr   // direct CTI target; ret: imm16 stack adjustment
 	cost   Ticks  // profile base cost of the opcode
@@ -313,6 +329,11 @@ func (m *Machine) decode(pc Addr) *cachedInst {
 	return ci
 }
 
+// stepOnlyFlags folds the flags after each Step of a stepOnly machine. The
+// block-vs-step differential replaces it with an eager reference that shares
+// no code with materialize or carry (export_test.go).
+var stepOnlyFlags = (*CPU).materialize
+
 // Errors returned by the run loop.
 var (
 	ErrAllHalted = errors.New("machine: all threads halted")
@@ -370,6 +391,11 @@ func (m *Machine) Step(t *Thread) error {
 	} else {
 		err = ci.fn(m, t, ci)
 	}
+	if m.stepOnly {
+		stepOnlyFlags(&t.CPU)
+	} else {
+		t.CPU.materialize()
+	}
 	if f, ok := err.(*Fault); ok {
 		err = m.raiseFault(t, f)
 	}
@@ -382,7 +408,9 @@ func (m *Machine) Step(t *Thread) error {
 // stepGuarded executes one decoded instruction with page faults armed. The
 // CPU is snapshotted first; a #PF panic from the memory layer unwinds any
 // partial execution of the thunk back to the precise instruction boundary
-// and is returned as the instruction's *Fault. Thunks that return a *Fault
+// and is returned as the instruction's *Fault. The snapshot includes the
+// lazy-flag record, which is empty at every Step, so the rollback also
+// drops any record the partial execution left. Thunks that return a *Fault
 // as an error guarantee they did so before any state change, so no rewind
 // is needed on that path.
 func (m *Machine) stepGuarded(t *Thread, ci *cachedInst) (err error) {
@@ -418,6 +446,11 @@ func (m *Machine) deliverSignal(t *Thread) {
 // Run executes threads round-robin (quantum instructions each) until all
 // have halted or limit instructions have been executed in total. A limit of
 // 0 means no limit. It returns ErrLimit if the limit stopped execution.
+//
+// A thread runs a straight-line run at a time (runBlock) whenever none of
+// Step's per-instruction checks can fire, and one Step at a time otherwise;
+// both execute the same thunks with the same accounting, so every simulated
+// value is the same either way.
 func (m *Machine) Run(limit uint64) error {
 	const quantum = 5000
 	executed := uint64(0)
@@ -439,11 +472,16 @@ func (m *Machine) Run(limit uint64) error {
 					q = rem
 				}
 			}
-			for ; q > 0; q-- {
-				if err := m.Step(t); err != nil {
+			for q > 0 {
+				n, err := m.runBlock(t, q)
+				if n == 0 {
+					n, err = 1, m.Step(t)
+				}
+				if err != nil {
 					return err
 				}
-				executed++
+				executed += n
+				q -= n
 				if t.Halted {
 					break
 				}
@@ -453,6 +491,65 @@ func (m *Machine) Run(limit uint64) error {
 			return nil
 		}
 	}
+}
+
+// runBlock executes t's straight-line run of already-resolved decodes from
+// EIP, at most budget instructions, and returns how many it executed. It is
+// Step without the per-instruction checks: it executes nothing, leaving the
+// instruction to Step, when phase accounting is on, a watch is armed, a
+// signal is pending, a page is protected, EIP is a trap address or EIP has
+// no decode yet. Within the run it follows succ links, and it stops after a
+// taken control transfer or a delivered fault (EIP is not the fall-through),
+// a halt, the budget, a missing link, or a write that dropped any decode
+// (a store into the running code).
+func (m *Machine) runBlock(t *Thread, budget uint64) (n uint64, err error) {
+	c := &t.CPU
+	if m.stepOnly || m.phaseOn || t.watchLeft != 0 || len(t.pendingSignals) != 0 || m.Mem.protCount != 0 || c.EIP >= TrapBase {
+		return 0, nil
+	}
+	ci := m.Mem.decoded(c.EIP)
+	if ci == nil {
+		return 0, nil
+	}
+	drops := m.Mem.drops
+	for {
+		m.Stats.Instructions++
+		t.Instret++
+		m.Ticks += ci.cost + m.PerInstrOverhead
+		err = ci.fn(m, t, ci)
+		n++
+		if err != nil || n == budget || t.Halted || c.EIP != ci.next || m.Mem.drops != drops {
+			break
+		}
+		next := ci.succ
+		if next == nil {
+			if next = m.link(ci); next == nil {
+				break
+			}
+		}
+		ci = next
+	}
+	c.materialize()
+	if f, ok := err.(*Fault); ok {
+		err = m.raiseFault(t, f)
+	}
+	return n, err
+}
+
+// link links ci to the decode it falls through to and returns it, or
+// returns nil when the run must end at ci: ci is int (the system call may
+// arm hooks, spawn threads or queue signals) or hlt, its successor lies in
+// another chunk (or the trap range, which starts at a chunk boundary), or
+// its successor has not been decoded yet. Step decodes a missing successor,
+// so a decode miss is counted once, by Step, whichever path runs.
+func (m *Machine) link(ci *cachedInst) *cachedInst {
+	pc := ci.next - Addr(ci.inst.Len)
+	if ci.inst.Op == ia32.OpInt || ci.inst.Op == ia32.OpHlt ||
+		ci.next>>chunkShift != pc>>chunkShift || ci.next >= TrapBase {
+		return nil
+	}
+	ci.succ = m.Mem.decoded(ci.next)
+	return ci.succ
 }
 
 // OutputString returns the program's collected output.

@@ -659,3 +659,45 @@ func TestMemoryPageCrossing(t *testing.T) {
 		t.Errorf("ReadBytes = % x", b)
 	}
 }
+
+// TestDigestSeesEveryByte: flipping any one byte of the digested range —
+// at an unaligned start, in the byte tail, on either side of a page edge,
+// anywhere in between — changes the digest, flipping a byte just outside
+// it does not, and paging in an all-zero page does not either.
+func TestDigestSeesEveryByte(t *testing.T) {
+	const lo, hi = 0x1FFF3, 0x30005 // 13 bytes of one page, a whole page, 5 of the next
+	mem := machine.NewMemory()
+	for a := machine.Addr(lo); a < hi; a += 7 {
+		mem.Write8(a, uint8(a>>3)|1)
+	}
+	base := mem.Digest(lo, hi)
+	flip := func(a machine.Addr) uint64 {
+		v := mem.Read8(a)
+		mem.Write8(a, v^0x40)
+		d := mem.Digest(lo, hi)
+		mem.Write8(a, v)
+		return d
+	}
+	in := []machine.Addr{lo, lo + 1, lo + 7, lo + 8, 0x1FFFF, 0x20000, 0x20001, 0x2FFFF, 0x30000, hi - 5, hi - 2, hi - 1}
+	for a := machine.Addr(lo); a < hi; a += 251 {
+		in = append(in, a)
+	}
+	for _, a := range in {
+		if flip(a) == base {
+			t.Errorf("flipping the byte at %#x leaves the digest unchanged", a)
+		}
+	}
+	for _, a := range []machine.Addr{lo - 1, hi, hi + 8} {
+		if flip(a) != base {
+			t.Errorf("flipping the byte at %#x, outside the range, changes the digest", a)
+		}
+	}
+	if mem.Digest(lo, hi) != base {
+		t.Fatal("restoring every flipped byte does not restore the digest")
+	}
+	before := mem.Digest(lo, 0x60000)
+	mem.Read8(0x50000) // pages in an all-zero page
+	if mem.Digest(lo, 0x60000) != before {
+		t.Error("paging in an all-zero page changes the digest")
+	}
+}

@@ -14,7 +14,10 @@
 // list of modeled constants.
 package machine
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Addr is a 32-bit simulated machine address.
 type Addr = uint32
@@ -82,6 +85,11 @@ type Memory struct {
 	// protCount is the number of pages with nonzero prot; access paths
 	// check permissions only when it is nonzero.
 	protCount int
+
+	// drops counts the writes that dropped a decode (dropCode). The block
+	// runner ends a run when it changes, so a store into running code is
+	// seen at the next instruction boundary.
+	drops uint64
 }
 
 // Protect sets the restriction bits for every page overlapping [lo, hi).
@@ -272,7 +280,9 @@ func (m *Memory) wrote(p *page, a, n Addr) {
 // dropCode drops exactly the decodes that overlap the n bytes written at
 // a: every one starting in [a, a+n), and those starting up to maxInstLen-1
 // bytes before a that are long enough to reach it. Only chunks that have a
-// table are visited; the tables themselves stay for the next fetch.
+// table are visited; the tables themselves stay for the next fetch. A chunk
+// that loses a decode loses all its succ links too (links never leave their
+// chunk), and the drop is counted for the block runner.
 func (m *Memory) dropCode(a, n Addr) {
 	const back = maxInstLen - 1
 	s, left := a-back, n+back // slots [s, s+left) may hold overlapping decodes
@@ -284,10 +294,21 @@ func (m *Memory) dropCode(a, n Addr) {
 			if t := p.code[o>>chunkShift]; t != nil {
 				lo := o & (chunkSize - 1)
 				d := n + back - left // distance from a-back to s
+				dropped := false
 				for i, ci := range t[lo : lo+min(k, left)] {
 					if ci != nil && d+Addr(i)+Addr(ci.inst.Len) > back {
 						t[lo+Addr(i)] = nil
+						dropped = true
 					}
+				}
+				if dropped {
+					// A link into this chunk may name a dropped decode.
+					for _, ci := range t {
+						if ci != nil {
+							ci.succ = nil
+						}
+					}
+					m.drops++
 				}
 			}
 		}
@@ -371,6 +392,11 @@ func (m *Memory) Gen(a Addr) uint32 {
 // digest is insensitive to whether a zero region was ever paged in). The
 // differential tests use it to compare final application memory below the
 // runtime-reserved region across cache configurations.
+//
+// The hash steps over little-endian 64-bit words, with a byte tail. Each
+// step h = (h ^ w) * prime is a bijection of h for a given word and of the
+// word for a given h, so two ranges that differ in any one word always
+// digest differently.
 func (m *Memory) Digest(lo, hi Addr) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -391,14 +417,7 @@ func (m *Memory) Digest(lo, hi Addr) uint64 {
 			end = hi - base
 		}
 		slice := p.bytes[start:end]
-		allZero := true
-		for _, b := range slice {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
+		if allZero(slice) {
 			continue
 		}
 		// Fold the page's address in so identical content at different
@@ -406,7 +425,11 @@ func (m *Memory) Digest(lo, hi Addr) uint64 {
 		for _, b := range [4]byte{byte(pi), byte(pi >> 8), byte(pi >> 16), byte(start)} {
 			h = (h ^ uint64(b)) * prime64
 		}
-		for _, b := range slice {
+		words := len(slice) &^ 7
+		for i := 0; i < words; i += 8 {
+			h = (h ^ binary.LittleEndian.Uint64(slice[i:])) * prime64
+		}
+		for _, b := range slice[words:] {
 			h = (h ^ uint64(b)) * prime64
 		}
 		if pi == 0xFFFF {
@@ -414,6 +437,22 @@ func (m *Memory) Digest(lo, hi Addr) uint64 {
 		}
 	}
 	return h
+}
+
+// allZero reports whether every byte of b is zero, a word at a time.
+func allZero(b []byte) bool {
+	words := len(b) &^ 7
+	for i := 0; i < words; i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+			return false
+		}
+	}
+	for _, c := range b[words:] {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // String summarizes allocated pages (debugging aid).
