@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fuzz"
-	"repro/internal/image"
 	"repro/internal/machine"
 	"repro/internal/oracle"
 	"repro/internal/workload"
@@ -31,21 +30,28 @@ type endpoint struct {
 	RIO     core.Stats
 }
 
-// runEndpoint runs img natively (opts nil) or under the runtime with opts,
-// through the block runner or, with stepOnly, one Step at a time.
-func runEndpoint(img *image.Image, opts *core.Options, stepOnly bool) (endpoint, error) {
+// runEndpoint runs case c natively (opts nil) or under the runtime with
+// opts, through the block runner or, with stepOnly, one Step at a time.
+func runEndpoint(c oracle.Case, opts *core.Options, stepOnly bool) (endpoint, error) {
 	m := machine.New(machine.PentiumIV())
 	if stepOnly {
 		machine.SetStepOnly(m)
 	}
 	var e endpoint
+	var r *core.RIO
 	if opts == nil {
-		img.Boot(m)
+		c.Image.Boot(m)
+	} else {
+		r = core.New(m, c.Image, *opts, nil)
+	}
+	if c.Setup != nil {
+		c.Setup(m)
+	}
+	if r == nil {
 		if err := m.Run(oracle.RunLimit); err != nil {
 			return e, err
 		}
 	} else {
-		r := core.New(m, img, *opts, nil)
 		if err := r.Run(oracle.RunLimit); err != nil {
 			return e, err
 		}
@@ -60,8 +66,8 @@ func runEndpoint(img *image.Image, opts *core.Options, stepOnly bool) (endpoint,
 	return e, nil
 }
 
-// checkBlockVsStep runs img both ways under each configuration.
-func checkBlockVsStep(t *testing.T, img *image.Image) {
+// checkBlockVsStep runs case c both ways under each configuration.
+func checkBlockVsStep(t *testing.T, c oracle.Case) {
 	t.Helper()
 	tiny := core.Default()
 	tiny.BBCacheSize, tiny.TraceCacheSize = 1<<10, 1<<10
@@ -70,11 +76,11 @@ func checkBlockVsStep(t *testing.T, img *image.Image) {
 		name string
 		opts *core.Options
 	}{{"native", nil}, {"default", &def}, {"1k", &tiny}} {
-		block, err := runEndpoint(img, cfg.opts, false)
+		block, err := runEndpoint(c, cfg.opts, false)
 		if err != nil {
 			t.Fatalf("%s: block runner: %v", cfg.name, err)
 		}
-		step, err := runEndpoint(img, cfg.opts, true)
+		step, err := runEndpoint(c, cfg.opts, true)
 		if err != nil {
 			t.Fatalf("%s: step only: %v", cfg.name, err)
 		}
@@ -109,21 +115,25 @@ func TestBlockVsStepWorkloads(t *testing.T) {
 	for _, b := range workload.All() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			checkBlockVsStep(t, b.Image())
+			checkBlockVsStep(t, oracle.Case{Name: b.Name, Image: b.Image()})
 		})
 	}
 }
 
-// TestBlockVsStepFuzz runs 200 generated programs the same way. The guard
-// page stays unarmed: an armed page makes every run single-step, which would
-// compare Step with itself.
+// TestBlockVsStepFuzz runs 200 generated programs the same way, each with
+// its guard page unarmed and then, in the armed subtest, armed. Armed, a
+// program's guarded read may take a #PF, which the block runner and Step
+// must deliver alike (the fault precision table covers the other forms).
 func TestBlockVsStepFuzz(t *testing.T) {
 	const seeds = 200
 	for seed := int64(1); seed <= seeds; seed++ {
-		img, err := image.Assemble(fmt.Sprint("fuzz-", seed), fuzz.Render(fuzz.Generate(seed, 40)))
+		c, err := fuzz.Case(fuzz.Generate(seed, 40))
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkBlockVsStep(t, img) })
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			checkBlockVsStep(t, oracle.Case{Image: c.Image})
+			t.Run("armed", func(t *testing.T) { checkBlockVsStep(t, c) })
+		})
 	}
 }

@@ -68,6 +68,27 @@ func (m *Machine) writeOp(t *Thread, o *ia32.Operand, v uint32) {
 	panic(fmt.Sprintf("machine: write of operand kind %d", o.Kind))
 }
 
+// readDst reads the destination operand of a read-modify-write. While any
+// page is protected it also checks that the operand can be written back,
+// so the instruction faults before it records flags or writes a register.
+func (m *Machine) readDst(t *Thread, o *ia32.Operand) uint32 {
+	v := m.readOp(t, o)
+	if m.Mem.protCount != 0 && o.Kind == ia32.OperandMem {
+		m.checkStore(m.ea(&t.CPU, o), o.Size)
+	}
+	return v
+}
+
+// checkStore raises ahead of time the #PF a size-byte store at a would
+// raise, charged as writeOp charges the store. Only when protCount != 0.
+func (m *Machine) checkStore(a Addr, size uint8) {
+	if f := m.Mem.writeFault(a, int(size)); f != nil {
+		m.Stats.Stores++
+		m.Ticks += m.Profile.StoreExtra
+		panic(f)
+	}
+}
+
 // signBits and sizeMasks index by operand size in bytes (1, 2 or 4; any
 // other value behaves as 32-bit, matching the historical switch defaults).
 var signBits = [8]uint32{
@@ -163,7 +184,12 @@ func opndSize(o *ia32.Operand) uint8 {
 // once at decode time (see resolve), replacing the per-step opcode switch;
 // each thunk updates architectural state, the cycle count, predictors and
 // statistics, and leaves EIP at the next instruction to execute.
-type execThunk func(m *Machine, t *Thread, ci *cachedInst) error
+//
+// A thunk raises a fault by panicking with a *Fault before it commits: every
+// access that can fault precedes its first write to CPU state or memory, so
+// nothing needs rolling back (only the ticks and statistics stay charged).
+// Step and Run recover the panic (see caught).
+type execThunk func(m *Machine, t *Thread, ci *cachedInst)
 
 // thunks maps each opcode to its execution thunk. Conditional branches,
 // setcc and cmovcc share one thunk per class; the condition code is
@@ -370,175 +396,152 @@ func specialize(ci *cachedInst) {
 	}
 }
 
-func execMovRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execMovRR32(m *Machine, t *Thread, ci *cachedInst) {
 	t.CPU.R[ci.r1&7] = t.CPU.R[ci.r2&7]
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execMovRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execMovRI32(m *Machine, t *Thread, ci *cachedInst) {
 	t.CPU.R[ci.r1&7] = ci.imm
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execMovRM32(m *Machine, t *Thread, ci *cachedInst) error {
+func execMovRM32(m *Machine, t *Thread, ci *cachedInst) {
 	a := m.ea(&t.CPU, &ci.inst.Srcs[0])
 	m.Stats.Loads++
 	m.Ticks += m.Profile.LoadExtra
 	t.CPU.R[ci.r1&7] = m.Mem.Read32(a)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execMovMR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execMovMR32(m *Machine, t *Thread, ci *cachedInst) {
 	a := m.ea(&t.CPU, &ci.inst.Dsts[0])
 	m.Stats.Stores++
 	m.Ticks += m.Profile.StoreExtra
 	m.Mem.Write32(a, t.CPU.R[ci.r1&7])
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execAddRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execAddRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsAdd(c.R[ci.r1&7], c.R[ci.r2&7], 0, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execAddRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execAddRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsAdd(c.R[ci.r1&7], ci.imm, 0, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execSubRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execSubRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsSub(c.R[ci.r1&7], c.R[ci.r2&7], 0, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execSubRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execSubRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsSub(c.R[ci.r1&7], ci.imm, 0, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execAndRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execAndRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsLogic(c.R[ci.r1&7]&c.R[ci.r2&7], 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execAndRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execAndRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsLogic(c.R[ci.r1&7]&ci.imm, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execOrRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execOrRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsLogic(c.R[ci.r1&7]|c.R[ci.r2&7], 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execOrRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execOrRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsLogic(c.R[ci.r1&7]|ci.imm, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execXorRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execXorRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsLogic(c.R[ci.r1&7]^c.R[ci.r2&7], 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execXorRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execXorRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsLogic(c.R[ci.r1&7]^ci.imm, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execCmpRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execCmpRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.flagsSub(c.R[ci.r1&7], c.R[ci.r2&7], 0, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execCmpRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execCmpRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.flagsSub(c.R[ci.r1&7], ci.imm, 0, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execTestRR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execTestRR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.flagsLogic(c.R[ci.r1&7]&c.R[ci.r2&7], 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execTestRI32(m *Machine, t *Thread, ci *cachedInst) error {
+func execTestRI32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.flagsLogic(c.R[ci.r1&7]&ci.imm, 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execIncR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execIncR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsInc(c.R[ci.r1&7], 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execDecR32(m *Machine, t *Thread, ci *cachedInst) error {
+func execDecR32(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	c.R[ci.r1&7] = c.flagsDec(c.R[ci.r1&7], 4)
 	c.EIP = ci.next
-	return nil
 }
 
-func execUnknown(m *Machine, t *Thread, ci *cachedInst) error {
+func execUnknown(m *Machine, t *Thread, ci *cachedInst) {
 	// Decodable but unimplemented is an architectural #UD on this thread
 	// alone; one bad instruction must not abort a whole multi-thread run.
-	return &Fault{Kind: FaultUD}
+	panic(&Fault{Kind: FaultUD})
 }
 
-func execNop(m *Machine, t *Thread, ci *cachedInst) error {
+func execNop(m *Machine, t *Thread, ci *cachedInst) {
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execMov(m *Machine, t *Thread, ci *cachedInst) error {
+func execMov(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	m.writeOp(t, &in.Dsts[0], m.readOp(t, &in.Srcs[0]))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execMovzx(m *Machine, t *Thread, ci *cachedInst) error {
+func execMovzx(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	v := m.readOp(t, &in.Srcs[0]) & sizeMask(ci.size)
 	m.writeOp(t, &in.Dsts[0], v)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execMovsx(m *Machine, t *Thread, ci *cachedInst) error {
+func execMovsx(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	v := m.readOp(t, &in.Srcs[0])
 	if ci.size == 1 {
@@ -548,146 +551,130 @@ func execMovsx(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	m.writeOp(t, &in.Dsts[0], v)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execLea(m *Machine, t *Thread, ci *cachedInst) error {
+func execLea(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	m.writeOp(t, &in.Dsts[0], m.ea(&t.CPU, &in.Srcs[0]))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execXchg(m *Machine, t *Thread, ci *cachedInst) error {
+func execXchg(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
-	b := m.readOp(t, &in.Dsts[1])
+	a := m.readDst(t, &in.Dsts[0])
+	b := m.readDst(t, &in.Dsts[1])
 	m.writeOp(t, &in.Dsts[0], b)
 	m.writeOp(t, &in.Dsts[1], a)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execAdd(m *Machine, t *Thread, ci *cachedInst) error {
+func execAdd(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsAdd(a, b, 0, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execAdc(m *Machine, t *Thread, ci *cachedInst) error {
+func execAdc(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	carry := t.CPU.carry()
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsAdd(a, b, carry, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execSub(m *Machine, t *Thread, ci *cachedInst) error {
+func execSub(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsSub(a, b, 0, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execSbb(m *Machine, t *Thread, ci *cachedInst) error {
+func execSbb(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	borrow := t.CPU.carry()
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsSub(a, b, borrow, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execCmp(m *Machine, t *Thread, ci *cachedInst) error {
+func execCmp(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	a := m.readOp(t, &in.Srcs[0])
 	b := m.readOp(t, &in.Srcs[1])
 	t.CPU.flagsSub(a, b, 0, ci.size)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execInc(m *Machine, t *Thread, ci *cachedInst) error {
+func execInc(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	r := c.flagsInc(a, ci.size)
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
-	return nil
 }
 
-func execDec(m *Machine, t *Thread, ci *cachedInst) error {
+func execDec(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	r := c.flagsDec(a, ci.size)
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
-	return nil
 }
 
-func execNeg(m *Machine, t *Thread, ci *cachedInst) error {
+func execNeg(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsSub(0, a, 0, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execNot(m *Machine, t *Thread, ci *cachedInst) error {
+func execNot(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	m.writeOp(t, &in.Dsts[0], ^a)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execAnd(m *Machine, t *Thread, ci *cachedInst) error {
+func execAnd(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsLogic(a&b, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execTest(m *Machine, t *Thread, ci *cachedInst) error {
+func execTest(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	a := m.readOp(t, &in.Srcs[0])
 	b := m.readOp(t, &in.Srcs[1])
 	t.CPU.flagsLogic(a&b, ci.size)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execOr(m *Machine, t *Thread, ci *cachedInst) error {
+func execOr(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsLogic(a|b, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execXor(m *Machine, t *Thread, ci *cachedInst) error {
+func execXor(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Srcs[0])
 	m.writeOp(t, &in.Dsts[0], t.CPU.flagsLogic(a^b, ci.size))
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execImul(m *Machine, t *Thread, ci *cachedInst) error {
+func execImul(m *Machine, t *Thread, ci *cachedInst) {
 	// Two-operand: dst *= src0. Three-operand: dst = src0 * imm.
 	in := &ci.inst
 	c := &t.CPU
@@ -708,22 +695,21 @@ func execImul(m *Machine, t *Thread, ci *cachedInst) error {
 	c.setSZP(r, 4)
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
-	return nil
 }
 
-func execDiv(m *Machine, t *Thread, ci *cachedInst) error {
+func execDiv(m *Machine, t *Thread, ci *cachedInst) {
 	// Unsigned edx:eax / src -> eax quotient, edx remainder. A zero
 	// divisor or a quotient that does not fit 32 bits raises #DE before
 	// any state changes, keeping the instruction boundary precise.
 	c := &t.CPU
 	d := m.readOp(t, &ci.inst.Srcs[0])
 	if d == 0 {
-		return &Fault{Kind: FaultDivide}
+		panic(&Fault{Kind: FaultDivide})
 	}
 	n := uint64(c.R[2])<<32 | uint64(c.R[0]) // edx:eax
 	q := n / uint64(d)
 	if q > 0xFFFFFFFF {
-		return &Fault{Kind: FaultDivide}
+		panic(&Fault{Kind: FaultDivide})
 	}
 	c.R[0] = uint32(q)
 	c.R[2] = uint32(n % uint64(d))
@@ -732,7 +718,6 @@ func execDiv(m *Machine, t *Thread, ci *cachedInst) error {
 	c.lazy.op = lazyNone
 	c.Eflags &^= ia32.FlagsAll
 	c.EIP = ci.next
-	return nil
 }
 
 // finishShift applies the shared flag semantics of shl/shr/sar and stores
@@ -754,63 +739,60 @@ func (m *Machine) finishShift(t *Thread, ci *cachedInst, a, r, cf uint32) {
 	c.EIP = ci.next
 }
 
-func execShl(m *Machine, t *Thread, ci *cachedInst) error {
+func execShl(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	amt := m.readOp(t, &in.Srcs[0]) & 31
-	a := m.readOp(t, &in.Dsts[0]) & sizeMask(ci.size)
+	a := m.readDst(t, &in.Dsts[0]) & sizeMask(ci.size)
 	if amt == 0 {
 		m.writeOp(t, &in.Dsts[0], a)
 		t.CPU.EIP = ci.next
-		return nil
+		return
 	}
 	r := a << amt
 	cf := (a >> (uint32(ci.size)*8 - amt)) & 1
 	m.finishShift(t, ci, a, r, cf)
-	return nil
 }
 
-func execShr(m *Machine, t *Thread, ci *cachedInst) error {
+func execShr(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	amt := m.readOp(t, &in.Srcs[0]) & 31
-	a := m.readOp(t, &in.Dsts[0]) & sizeMask(ci.size)
+	a := m.readDst(t, &in.Dsts[0]) & sizeMask(ci.size)
 	if amt == 0 {
 		m.writeOp(t, &in.Dsts[0], a)
 		t.CPU.EIP = ci.next
-		return nil
+		return
 	}
 	r := a >> amt
 	cf := (a >> (amt - 1)) & 1
 	m.finishShift(t, ci, a, r, cf)
-	return nil
 }
 
-func execSar(m *Machine, t *Thread, ci *cachedInst) error {
+func execSar(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	amt := m.readOp(t, &in.Srcs[0]) & 31
-	a := m.readOp(t, &in.Dsts[0]) & sizeMask(ci.size)
+	a := m.readDst(t, &in.Dsts[0]) & sizeMask(ci.size)
 	if amt == 0 {
 		m.writeOp(t, &in.Dsts[0], a)
 		t.CPU.EIP = ci.next
-		return nil
+		return
 	}
 	bits := uint32(ci.size) * 8
 	sa := int32(a<<(32-bits)) >> (32 - bits) // sign-extend to 32 bits
 	r := uint32(sa >> amt)
 	cf := uint32(sa>>(amt-1)) & 1
 	m.finishShift(t, ci, a, r, cf)
-	return nil
 }
 
-func execRol(m *Machine, t *Thread, ci *cachedInst) error {
+func execRol(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
 	bits := uint32(ci.size) * 8
 	amt := m.readOp(t, &in.Srcs[0]) & 31 % bits
-	a := m.readOp(t, &in.Dsts[0]) & sizeMask(ci.size)
+	a := m.readDst(t, &in.Dsts[0]) & sizeMask(ci.size)
 	if amt == 0 {
 		m.writeOp(t, &in.Dsts[0], a)
 		c.EIP = ci.next
-		return nil
+		return
 	}
 	r := (a<<amt | a>>(bits-amt)) & sizeMask(ci.size)
 	cf := r & 1
@@ -824,19 +806,18 @@ func execRol(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
-	return nil
 }
 
-func execRor(m *Machine, t *Thread, ci *cachedInst) error {
+func execRor(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
 	bits := uint32(ci.size) * 8
 	amt := m.readOp(t, &in.Srcs[0]) & 31 % bits
-	a := m.readOp(t, &in.Dsts[0]) & sizeMask(ci.size)
+	a := m.readDst(t, &in.Dsts[0]) & sizeMask(ci.size)
 	if amt == 0 {
 		m.writeOp(t, &in.Dsts[0], a)
 		c.EIP = ci.next
-		return nil
+		return
 	}
 	r := (a>>amt | a<<(bits-amt)) & sizeMask(ci.size)
 	cf := r >> (bits - 1) & 1
@@ -850,88 +831,87 @@ func execRor(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	m.writeOp(t, &in.Dsts[0], r)
 	c.EIP = ci.next
-	return nil
 }
 
-func execBswap(m *Machine, t *Thread, ci *cachedInst) error {
+func execBswap(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	a := m.readOp(t, &in.Dsts[0])
 	m.writeOp(t, &in.Dsts[0],
 		a<<24|a>>24|(a&0xff00)<<8|(a>>8)&0xff00)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execXadd(m *Machine, t *Thread, ci *cachedInst) error {
+func execXadd(m *Machine, t *Thread, ci *cachedInst) {
 	// xadd rm, r: r gets the old rm value, rm gets the sum.
 	in := &ci.inst
-	a := m.readOp(t, &in.Dsts[0])
+	a := m.readDst(t, &in.Dsts[0])
 	b := m.readOp(t, &in.Dsts[1])
 	sum := t.CPU.flagsAdd(a, b, 0, ci.size)
 	m.writeOp(t, &in.Dsts[1], a)
 	m.writeOp(t, &in.Dsts[0], sum)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execPush(m *Machine, t *Thread, ci *cachedInst) error {
+func execPush(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
 	v := m.readOp(t, &in.Srcs[0])
 	sp := c.R[iESP] - 4
-	c.R[iESP] = sp
 	m.Stats.Stores++
 	m.Ticks += m.Profile.StoreExtra
 	m.Mem.Write32(sp, v)
+	c.R[iESP] = sp
 	c.EIP = ci.next
-	return nil
 }
 
-func execPop(m *Machine, t *Thread, ci *cachedInst) error {
+func execPop(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
 	sp := c.R[iESP]
 	m.Stats.Loads++
 	m.Ticks += m.Profile.LoadExtra
 	v := m.Mem.Read32(sp)
+	if d := &in.Dsts[0]; d.Kind == ia32.OperandMem && m.Mem.protCount != 0 {
+		c.R[iESP] = sp + 4 // the store's address uses the popped ESP,
+		a := m.ea(c, d)
+		c.R[iESP] = sp // committed only once the store cannot fault
+		m.checkStore(a, d.Size)
+	}
 	c.R[iESP] = sp + 4
 	m.writeOp(t, &in.Dsts[0], v)
 	c.EIP = ci.next
-	return nil
 }
 
-func execPushfd(m *Machine, t *Thread, ci *cachedInst) error {
+func execPushfd(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	sp := c.R[iESP] - 4
-	c.R[iESP] = sp
 	m.Stats.Stores++
 	m.Ticks += m.Profile.StoreExtra
 	c.materialize()
 	m.Mem.Write32(sp, c.Eflags|0x2) // bit 1 always set on IA-32
+	c.R[iESP] = sp
 	c.EIP = ci.next
-	return nil
 }
 
-func execPopfd(m *Machine, t *Thread, ci *cachedInst) error {
+func execPopfd(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	sp := c.R[iESP]
 	m.Stats.Loads++
 	m.Ticks += m.Profile.LoadExtra
+	v := m.Mem.Read32(sp)
 	c.lazy.op = lazyNone
-	c.Eflags = m.Mem.Read32(sp) & ia32.FlagsAll
+	c.Eflags = v & ia32.FlagsAll
 	c.R[iESP] = sp + 4
 	c.EIP = ci.next
-	return nil
 }
 
-func execJmp(m *Machine, t *Thread, ci *cachedInst) error {
+func execJmp(m *Machine, t *Thread, ci *cachedInst) {
 	m.Stats.TakenBranches++
 	m.Ticks += m.Profile.TakenBranchExtra
 	t.CPU.EIP = ci.target
-	return nil
 }
 
-func execJmpInd(m *Machine, t *Thread, ci *cachedInst) error {
+func execJmpInd(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	pc := t.CPU.EIP
 	target := m.readOp(t, &in.Srcs[0])
@@ -943,33 +923,31 @@ func execJmpInd(m *Machine, t *Thread, ci *cachedInst) error {
 		m.Ticks += m.Profile.MispredictPenalty
 	}
 	t.CPU.EIP = target
-	return nil
 }
 
-func execCall(m *Machine, t *Thread, ci *cachedInst) error {
+func execCall(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	sp := c.R[iESP] - 4
-	c.R[iESP] = sp
 	m.Stats.Stores++
 	m.Ticks += m.Profile.StoreExtra
 	m.Mem.Write32(sp, ci.next)
+	c.R[iESP] = sp
 	t.pred.pushRAS(ci.next)
 	m.Stats.TakenBranches++
 	m.Ticks += m.Profile.TakenBranchExtra
 	c.EIP = ci.target
-	return nil
 }
 
-func execCallInd(m *Machine, t *Thread, ci *cachedInst) error {
+func execCallInd(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	c := &t.CPU
 	pc := c.EIP
 	target := m.readOp(t, &in.Srcs[0])
 	sp := c.R[iESP] - 4
-	c.R[iESP] = sp
 	m.Stats.Stores++
 	m.Ticks += m.Profile.StoreExtra
 	m.Mem.Write32(sp, ci.next)
+	c.R[iESP] = sp
 	t.pred.pushRAS(ci.next)
 	m.Stats.IndBranches++
 	m.Stats.TakenBranches++
@@ -979,10 +957,9 @@ func execCallInd(m *Machine, t *Thread, ci *cachedInst) error {
 		m.Ticks += m.Profile.MispredictPenalty
 	}
 	c.EIP = target
-	return nil
 }
 
-func execRet(m *Machine, t *Thread, ci *cachedInst) error {
+func execRet(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	sp := c.R[iESP]
 	m.Stats.Loads++
@@ -998,22 +975,19 @@ func execRet(m *Machine, t *Thread, ci *cachedInst) error {
 		m.Ticks += m.Profile.MispredictPenalty
 	}
 	c.EIP = target
-	return nil
 }
 
-func execHlt(m *Machine, t *Thread, ci *cachedInst) error {
+func execHlt(m *Machine, t *Thread, ci *cachedInst) {
 	m.haltThread(t)
-	return nil
 }
 
-func execInt(m *Machine, t *Thread, ci *cachedInst) error {
+func execInt(m *Machine, t *Thread, ci *cachedInst) {
 	m.Stats.Syscalls++
 	t.CPU.materialize() // the syscall and the hooks it runs see exact flags
-	t.CPU.EIP = ci.next
-	return m.syscall(t, ci.cc) // ci.cc holds the interrupt vector
+	m.syscall(t, ci)
 }
 
-func execSetcc(m *Machine, t *Thread, ci *cachedInst) error {
+func execSetcc(m *Machine, t *Thread, ci *cachedInst) {
 	v := uint32(0)
 	t.CPU.materialize()
 	if condHolds(ci.cc, t.CPU.Eflags) {
@@ -1021,10 +995,9 @@ func execSetcc(m *Machine, t *Thread, ci *cachedInst) error {
 	}
 	m.writeOp(t, &ci.inst.Dsts[0], v)
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execCmovcc(m *Machine, t *Thread, ci *cachedInst) error {
+func execCmovcc(m *Machine, t *Thread, ci *cachedInst) {
 	in := &ci.inst
 	v := m.readOp(t, &in.Srcs[0])
 	t.CPU.materialize()
@@ -1032,10 +1005,9 @@ func execCmovcc(m *Machine, t *Thread, ci *cachedInst) error {
 		m.writeOp(t, &in.Dsts[0], v)
 	}
 	t.CPU.EIP = ci.next
-	return nil
 }
 
-func execJcc(m *Machine, t *Thread, ci *cachedInst) error {
+func execJcc(m *Machine, t *Thread, ci *cachedInst) {
 	c := &t.CPU
 	pc := c.EIP
 	c.materialize()
@@ -1052,5 +1024,4 @@ func execJcc(m *Machine, t *Thread, ci *cachedInst) error {
 	} else {
 		c.EIP = ci.next
 	}
-	return nil
 }

@@ -35,9 +35,10 @@ func (k FaultKind) String() string {
 // Fault is one synchronous exception. EIP is the application PC of the
 // faulting instruction (after any cache-to-native translation by the
 // embedding runtime); Addr is the faulting data address for #PF and zero
-// otherwise. Fault implements error so the cold paths of the interpreter can
-// return one through the ordinary thunk error channel without any hot-path
-// cost; Step intercepts it before it can escape to Run.
+// otherwise. Every synchronous fault is raised by panic where it is detected
+// (#PF in the memory layer, #DE, #UD and #SW in their thunks), before the
+// instruction commits anything; Step and Run catch it and deliver it, so it
+// never escapes from Run.
 type Fault struct {
 	Kind   FaultKind
 	EIP    Addr // faulting instruction (application PC once delivered)
@@ -121,9 +122,9 @@ func (m *Machine) injectionFor(thread int, ordinal uint64) *faultInjection {
 // context is translated to native form (when a runtime is embedding the
 // machine), the fault is appended to the machine's fault trace, and then it
 // is either transferred to the thread's registered handler or, with no
-// handler, the thread alone is halted with the fault recorded. It never
-// returns an error that would stop the machine.
-func (m *Machine) raiseFault(t *Thread, f *Fault) error {
+// handler, the thread alone is halted with the fault recorded. A fault never
+// stops the machine.
+func (m *Machine) raiseFault(t *Thread, f *Fault) {
 	t.CPU.materialize() // the translator and the handler see exact flags
 	f.Thread = t.ID
 	f.EIP = t.CPU.EIP
@@ -134,7 +135,7 @@ func (m *Machine) raiseFault(t *Thread, f *Fault) error {
 		m.Stats.Faults++
 		t.FaultRecord = f
 		m.haltThread(t)
-		return nil
+		return
 	}
 	f.EIP = t.CPU.EIP // the translator may have rewritten EIP
 	m.Stats.Faults++
@@ -142,20 +143,17 @@ func (m *Machine) raiseFault(t *Thread, f *Fault) error {
 	if t.FaultHandler == 0 {
 		t.FaultRecord = f
 		m.haltThread(t)
-		return nil
+		return
 	}
 	// Build the handler frame: [esp]=kind, [esp+4]=faulting address,
 	// [esp+8]=faulting EIP. A handler that cannot recover typically exits;
 	// one that can fixes state and jumps (or add esp,8; ret to retry).
 	// If the stack itself is unwritable this is a double fault: kill the
 	// thread rather than recurse.
-	if m.Mem.protCount != 0 {
-		esp := t.CPU.R[4]
-		if !m.Mem.protOK(esp-12, true) || !m.Mem.protOK(esp-1, true) {
-			t.FaultRecord = f
-			m.haltThread(t)
-			return nil
-		}
+	if m.Mem.protCount != 0 && m.Mem.writeFault(t.CPU.R[4]-12, 12) != nil {
+		t.FaultRecord = f
+		m.haltThread(t)
+		return
 	}
 	esp := t.CPU.R[4] - 12
 	m.Mem.Write32(esp+8, f.EIP)
@@ -166,7 +164,6 @@ func (m *Machine) raiseFault(t *Thread, f *Fault) error {
 	if m.interceptFault != nil {
 		m.interceptFault(t, f, t.FaultHandler)
 	}
-	return nil
 }
 
 // haltThread halts t, accounting for any queued-but-undelivered signals so

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/image"
+	"repro/internal/oracle"
 )
 
 // The lazy-flag sequence tests. The tests in flags_test.go drive single
@@ -171,11 +172,11 @@ func checkSeq(t *testing.T, name, src string) {
 	if err != nil {
 		t.Fatalf("assemble: %v\n%s", err, src)
 	}
-	block, err := runEndpoint(img, nil, false)
+	block, err := runEndpoint(oracle.Case{Image: img}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := runEndpoint(img, nil, true)
+	step, err := runEndpoint(oracle.Case{Image: img}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

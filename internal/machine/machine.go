@@ -377,7 +377,8 @@ func (m *Machine) Step(t *Thread) error {
 		if ci = m.decode(pc); ci == nil {
 			// Undecodable bytes are an architectural event, not an
 			// infrastructure failure: raise #UD on this thread only.
-			return m.raiseFault(t, &Fault{Kind: FaultUD})
+			m.raiseFault(t, &Fault{Kind: FaultUD})
+			return nil
 		}
 	}
 	m.Stats.Instructions++
@@ -385,19 +386,11 @@ func (m *Machine) Step(t *Thread) error {
 	before := m.Ticks
 	m.charged = 0
 	m.Ticks += ci.cost + m.PerInstrOverhead
-	var err error
-	if m.Mem.protCount != 0 {
-		err = m.stepGuarded(t, ci)
-	} else {
-		err = ci.fn(m, t, ci)
-	}
+	err := m.exec(t, ci)
 	if m.stepOnly {
 		stepOnlyFlags(&t.CPU)
 	} else {
 		t.CPU.materialize()
-	}
-	if f, ok := err.(*Fault); ok {
-		err = m.raiseFault(t, f)
 	}
 	if m.phaseOn {
 		m.attribute(pc, m.Ticks-before-m.charged)
@@ -405,27 +398,30 @@ func (m *Machine) Step(t *Thread) error {
 	return err
 }
 
-// stepGuarded executes one decoded instruction with page faults armed. The
-// CPU is snapshotted first; a #PF panic from the memory layer unwinds any
-// partial execution of the thunk back to the precise instruction boundary
-// and is returned as the instruction's *Fault. The snapshot includes the
-// lazy-flag record, which is empty at every Step, so the rollback also
-// drops any record the partial execution left. Thunks that return a *Fault
-// as an error guarantee they did so before any state change, so no rewind
-// is needed on that path.
-func (m *Machine) stepGuarded(t *Thread, ci *cachedInst) (err error) {
-	saved := t.CPU
+// exec runs ci's thunk on t. Its recover wraps the thunk alone: a panic from
+// a trap handler or signal delivery is never the application's fault.
+func (m *Machine) exec(t *Thread, ci *cachedInst) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			f, ok := p.(*Fault)
-			if !ok {
-				panic(p)
-			}
-			t.CPU = saved
-			err = f
+			err = m.caught(t, p)
 		}
 	}()
-	return ci.fn(m, t, ci)
+	ci.fn(m, t, ci)
+	return nil
+}
+
+// caught handles what a thunk on t panicked with: a *Fault is delivered to t
+// at the boundary the thunk left intact, and a system call's machine error
+// is returned for Run's caller. Anything else panics on.
+func (m *Machine) caught(t *Thread, p any) error {
+	switch e := p.(type) {
+	case *Fault:
+		m.raiseFault(t, e)
+		return nil
+	case sysError:
+		return e.err
+	}
+	panic(p)
 }
 
 // deliverSignal transfers control to the first queued handler, either
@@ -473,7 +469,7 @@ func (m *Machine) Run(limit uint64) error {
 				}
 			}
 			for q > 0 {
-				n, err := m.runBlock(t, q)
+				n, err := m.runBlocks(t, q)
 				if n == 0 {
 					n, err = 1, m.Step(t)
 				}
@@ -493,32 +489,53 @@ func (m *Machine) Run(limit uint64) error {
 	}
 }
 
+// runBlocks executes runBlock until it executes nothing, t halts or budget
+// instructions have run, and returns how many ran (Instret's growth, which
+// counts a faulting instruction too). Its recover catches a fault on the
+// block path once per call, not per run or per instruction.
+func (m *Machine) runBlocks(t *Thread, budget uint64) (n uint64, err error) {
+	start := t.Instret
+	defer func() {
+		if p := recover(); p != nil {
+			n, err = t.Instret-start, m.caught(t, p)
+		}
+	}()
+	for n < budget && !t.Halted {
+		k := m.runBlock(t, budget-n)
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	return n, nil
+}
+
 // runBlock executes t's straight-line run of already-resolved decodes from
 // EIP, at most budget instructions, and returns how many it executed. It is
 // Step without the per-instruction checks: it executes nothing, leaving the
 // instruction to Step, when phase accounting is on, a watch is armed, a
-// signal is pending, a page is protected, EIP is a trap address or EIP has
-// no decode yet. Within the run it follows succ links, and it stops after a
-// taken control transfer or a delivered fault (EIP is not the fall-through),
-// a halt, the budget, a missing link, or a write that dropped any decode
-// (a store into the running code).
-func (m *Machine) runBlock(t *Thread, budget uint64) (n uint64, err error) {
+// signal is pending, EIP is a trap address or EIP has no decode yet. Within
+// the run it follows succ links, and it stops after a taken control transfer
+// (EIP is not the fall-through), a halt, the budget, a missing link, or a
+// write that dropped any decode (a store into the running code); a fault
+// unwinds it to runBlocks.
+func (m *Machine) runBlock(t *Thread, budget uint64) (n uint64) {
 	c := &t.CPU
-	if m.stepOnly || m.phaseOn || t.watchLeft != 0 || len(t.pendingSignals) != 0 || m.Mem.protCount != 0 || c.EIP >= TrapBase {
-		return 0, nil
+	if m.stepOnly || m.phaseOn || t.watchLeft != 0 || len(t.pendingSignals) != 0 || c.EIP >= TrapBase {
+		return 0
 	}
 	ci := m.Mem.decoded(c.EIP)
 	if ci == nil {
-		return 0, nil
+		return 0
 	}
 	drops := m.Mem.drops
 	for {
 		m.Stats.Instructions++
 		t.Instret++
 		m.Ticks += ci.cost + m.PerInstrOverhead
-		err = ci.fn(m, t, ci)
+		ci.fn(m, t, ci)
 		n++
-		if err != nil || n == budget || t.Halted || c.EIP != ci.next || m.Mem.drops != drops {
+		if n == budget || t.Halted || c.EIP != ci.next || m.Mem.drops != drops {
 			break
 		}
 		next := ci.succ
@@ -530,10 +547,7 @@ func (m *Machine) runBlock(t *Thread, budget uint64) (n uint64, err error) {
 		ci = next
 	}
 	c.materialize()
-	if f, ok := err.(*Fault); ok {
-		err = m.raiseFault(t, f)
-	}
-	return n, err
+	return n
 }
 
 // link links ci to the decode it falls through to and returns it, or

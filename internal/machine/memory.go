@@ -77,8 +77,9 @@ const (
 // Memory is a sparse paged 32-bit address space. Pages are allocated on
 // first touch; reads of untouched memory return zero after allocating.
 // Pages are fully accessible unless restricted with Protect, in which case a
-// violating access panics with a *Fault (#PF) that the machine's guarded
-// step converts into a precise synchronous fault.
+// violating access panics with a *Fault (#PF). Every instruction makes its
+// faulting accesses before it commits anything, so the machine delivers the
+// panic as a precise synchronous fault (see execThunk).
 type Memory struct {
 	pages [pageCount]*page
 
@@ -258,11 +259,22 @@ func (m *Memory) WriteBytes(a Addr, b []byte) {
 
 // protCheckWrite checks every page an n-byte write at a touches before any
 // byte is stored, so a write that faults on its second page leaves the
-// first unchanged. The fault address is the first forbidden byte.
+// first unchanged.
 func (m *Memory) protCheckWrite(a Addr, n int) {
-	for i := 0; i < n; i += pageSize - int((a+Addr(i))&(pageSize-1)) {
-		m.protCheck(a+Addr(i), true)
+	if f := m.writeFault(a, n); f != nil {
+		panic(f)
 	}
+}
+
+// writeFault returns the #PF an n-byte write at a raises, or nil. The fault
+// address is the first forbidden byte.
+func (m *Memory) writeFault(a Addr, n int) *Fault {
+	for i := 0; i < n; i += pageSize - int((a+Addr(i))&(pageSize-1)) {
+		if b := a + Addr(i); !m.protOK(b, true) {
+			return &Fault{Kind: FaultPage, Addr: b, Write: true}
+		}
+	}
+	return nil
 }
 
 // wrote records that the n bytes at a, all in page p, were just written:

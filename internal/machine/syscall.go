@@ -31,24 +31,26 @@ type SyscallRecord struct {
 	Arg2   uint32 // ecx
 }
 
-func (m *Machine) syscall(t *Thread, vector uint8) error {
-	if vector != SyscallVector {
+// syscall serves the int ci (vector in ci.cc) on t. EIP moves past the int
+// when the call completes, so a #PF on SysWriteMem's buffer is precise at
+// the int (after the call is counted and traced). #SW and injected faults
+// are raised after the int; a machine error panics as a sysError.
+func (m *Machine) syscall(t *Thread, ci *cachedInst) {
+	c := &t.CPU
+	if ci.cc != SyscallVector {
 		// An int to a vector the simulated OS does not serve is an
 		// architectural event on this thread, not a machine failure.
-		return &Fault{Kind: FaultSoftware}
+		c.EIP = ci.next
+		panic(&Fault{Kind: FaultSoftware})
 	}
+	t.syscallSeen++
 	if m.injections != nil {
-		ord := t.syscallSeen
-		t.syscallSeen++
-		if inj := m.injectionFor(t.ID, ord); inj != nil {
-			// The displaced system call does not execute and is not
-			// traced; EIP already points past the int instruction.
-			return &Fault{Kind: inj.Kind, Addr: inj.Addr}
+		if inj := m.injectionFor(t.ID, t.syscallSeen-1); inj != nil {
+			// The displaced system call does not execute and is not traced.
+			c.EIP = ci.next
+			panic(&Fault{Kind: inj.Kind, Addr: inj.Addr})
 		}
-	} else {
-		t.syscallSeen++
 	}
-	c := &t.CPU
 	m.SyscallTrace = append(m.SyscallTrace, SyscallRecord{
 		Thread: t.ID, Num: c.R[0], Arg1: c.R[3], Arg2: c.R[1],
 	})
@@ -63,7 +65,7 @@ func (m *Machine) syscall(t *Thread, vector uint8) error {
 	case SysWriteMem:
 		addr, n := c.R[3], c.R[1] // ebx, ecx
 		if n > 1<<20 {
-			return fmt.Errorf("machine: SysWriteMem length %d too large", n)
+			panic(sysError{fmt.Errorf("machine: SysWriteMem length %d too large", n)})
 		}
 		m.Output = append(m.Output, m.Mem.ReadBytes(addr, int(n))...)
 	case SysSpawn:
@@ -79,10 +81,14 @@ func (m *Machine) syscall(t *Thread, vector uint8) error {
 	case SysSetFaultHandler:
 		t.FaultHandler = Addr(c.R[3]) // ebx
 	default:
-		return fmt.Errorf("machine: unknown system call %d", c.R[0])
+		panic(sysError{fmt.Errorf("machine: unknown system call %d", c.R[0])})
 	}
-	return nil
+	c.EIP = ci.next
 }
+
+// sysError is a system call's machine error: raised by panic from the
+// thunk like a fault, but returned from Run instead of delivered.
+type sysError struct{ err error }
 
 // spawnHook lets the embedding runtime intercept creation of new threads so
 // it can route them through its own dispatch (thread-private code caches

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,5 +156,60 @@ func TestUndecodableApplicationCode(t *testing.T) {
 	}
 	if th.FaultRecord.EIP != 0x1000 {
 		t.Errorf("fault EIP = %#x, want 0x1000", th.FaultRecord.EIP)
+	}
+}
+
+// TestSysWriteMemProtectedBuffer: a SysWriteMem whose buffer runs onto a
+// no-read page raises #PF at the int, with Output untouched by it. The call
+// is counted and traced before its buffer faults. The second write runs in
+// the block runner (the first decoded its instructions), and a step-only
+// machine must agree.
+func TestSysWriteMemProtectedBuffer(t *testing.T) {
+	img := image.MustAssemble("t", `
+main:
+    mov eax, 7
+    mov ebx, handler
+    int 0x80
+    mov ebx, msg
+write:
+    mov eax, 4
+    mov ecx, 2
+wr:
+    int 0x80
+    mov ebx, 0x3FFFFF   ; one readable byte, then the protected page
+    jmp write
+handler:
+    mov eax, 1
+    mov ebx, 0
+    int 0x80
+msg:
+    .byte 'h', 'i'
+`)
+	for _, stepOnly := range []bool{false, true} {
+		m := machine.New(machine.PentiumIV())
+		if stepOnly {
+			machine.SetStepOnly(m)
+		}
+		img.Boot(m)
+		m.Mem.Protect(0x400000, 0x410000, machine.ProtNoRead)
+		if err := m.Run(100000); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.OutputString(); got != "hi" {
+			t.Errorf("stepOnly=%v: output %q, want %q", stepOnly, got, "hi")
+		}
+		want := machine.Fault{Kind: machine.FaultPage, EIP: img.Symbol("wr"), Addr: 0x400000}
+		if len(m.FaultTrace) != 1 || m.FaultTrace[0] != want {
+			t.Errorf("stepOnly=%v: fault trace %+v, want [%+v]", stepOnly, m.FaultTrace, want)
+		}
+		wantCalls := []machine.SyscallRecord{
+			{Num: machine.SysSetFaultHandler, Arg1: img.Symbol("handler")},
+			{Num: machine.SysWriteMem, Arg1: img.Symbol("msg"), Arg2: 2},
+			{Num: machine.SysWriteMem, Arg1: 0x3FFFFF, Arg2: 2},
+			{Num: machine.SysExit, Arg2: 2}, // ecx still holds the length
+		}
+		if !reflect.DeepEqual(m.SyscallTrace, wantCalls) {
+			t.Errorf("stepOnly=%v: syscall trace %+v, want %+v", stepOnly, m.SyscallTrace, wantCalls)
+		}
 	}
 }
