@@ -248,13 +248,15 @@ func (r *RIO) emit(ctx *Context, kind FragmentKind, tag machine.Addr, list *inst
 
 	r.chargeShared()
 	prev := ctx.frags[tag]
-	r.txnPush(func() { ctx.undoRegister(f, prev) })
-	ctx.register(f)
 	r.txnPush(func() {
+		// Undo noteFragment, then register; removeResident finds nothing
+		// when the failure came before noteFragment.
 		if reg.removeResident(f) {
 			reg.addLive(-f.alignedSize())
 		}
+		ctx.undoRegister(f, prev)
 	})
+	ctx.register(f)
 	ctx.noteFragment(f)
 	r.noteEmitProfile(ctx, f)
 	r.event(ctx.thread.ID, obs.Event{

@@ -80,32 +80,29 @@ func flagsDeadFrom(start, skip *instr.Instr) bool {
 }
 
 // flagsDeadBundle runs the walk over the machine instructions inside a Level
-// 0 bundle (copied application bytes, decoded on the fly).
+// 0 bundle (copied application bytes, decoded on the fly into a stack
+// array, without allocating).
 func flagsDeadBundle(raw []byte, written *ia32.Eflags, budget *int) (done, dead bool) {
+	var ops [ia32.MaxOperands]ia32.Operand
 	off := 0
 	for off < len(raw) {
-		in, err := ia32.Decode(raw[off:], 0)
+		op, n, nd, ns, err := ia32.DecodeOperands(raw[off:], 0, &ops)
 		if err != nil {
 			return true, false // undecodable: conservative
 		}
 		faultable := false
-		for _, o := range in.Dsts {
+		for _, o := range ops[:nd+ns] {
 			if o.Kind == ia32.OperandMem {
 				faultable = true
 			}
 		}
-		for _, o := range in.Srcs {
-			if o.Kind == ia32.OperandMem {
-				faultable = true
-			}
-		}
-		if d, dd := stepFlagsDead(in.Op, in.Op.Eflags(), faultable, written); d {
+		if d, dd := stepFlagsDead(op, op.Eflags(), faultable, written); d {
 			return true, dd
 		}
 		if *budget--; *budget <= 0 {
 			return true, false
 		}
-		off += int(in.Len)
+		off += n
 	}
 	return false, false
 }

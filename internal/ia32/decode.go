@@ -269,11 +269,47 @@ func DecodeOpcode(mem []byte) (op Opcode, length int, eflags Eflags, err error) 
 	return p.tmpl.Op, p.length, p.tmpl.Op.Eflags(), nil
 }
 
+// MaxOperands bounds the destination plus source operands of any template
+// (div: eax and edx written, r/m32, eax and edx read); verifyTables checks
+// it.
+const MaxOperands = 5
+
+// DecodeOperands fully decodes the instruction at mem[0], located at
+// absolute address pc, without allocating: it writes the destinations to
+// ops[:nd] and the sources to ops[nd:nd+ns], in the order Decode lists them,
+// and returns the opcode and length in bytes. It is the one operand path of
+// the decoder; Decode copies its result into an Inst.
+func DecodeOperands(mem []byte, pc uint32, ops *[MaxOperands]Operand) (op Opcode, length, nd, ns int, err error) {
+	p, err := decodeOperands(mem, pc, ops)
+	if err != nil {
+		return OpInvalid, 0, 0, 0, err
+	}
+	return p.tmpl.Op, p.length, len(p.tmpl.Dsts), len(p.tmpl.Srcs), nil
+}
+
+// decodeOperands is DecodeOperands returning the parse itself, whose
+// template and prefixes Decode also records.
+func decodeOperands(mem []byte, pc uint32, ops *[MaxOperands]Operand) (parsed, error) {
+	p, err := parse(mem, true)
+	if err != nil {
+		return p, err
+	}
+	nd := len(p.tmpl.Dsts)
+	for j, sp := range p.tmpl.Dsts {
+		ops[j] = p.operandFor(sp, ops[:nd], pc)
+	}
+	for j, sp := range p.tmpl.Srcs {
+		ops[nd+j] = p.operandFor(sp, ops[:nd], pc)
+	}
+	return p, nil
+}
+
 // Decode fully decodes the instruction at mem[0], which is located at
 // absolute address pc (needed to resolve PC-relative branch targets into the
 // absolute form the rest of the system uses).
 func Decode(mem []byte, pc uint32) (Inst, error) {
-	p, err := parse(mem, true)
+	var buf [MaxOperands]Operand
+	p, err := decodeOperands(mem, pc, &buf)
 	if err != nil {
 		return Inst{}, err
 	}
@@ -288,17 +324,12 @@ func Decode(mem []byte, pc uint32) (Inst, error) {
 	// appending to it cannot overwrite Srcs.
 	nd, ns := len(tm.Dsts), len(tm.Srcs)
 	ops := make([]Operand, nd+ns)
+	copy(ops, buf[:])
 	if nd > 0 {
 		in.Dsts = ops[:nd:nd]
-		for j, sp := range tm.Dsts {
-			in.Dsts[j] = p.operandFor(sp, in.Dsts, pc)
-		}
 	}
 	if ns > 0 {
 		in.Srcs = ops[nd:]
-		for j, sp := range tm.Srcs {
-			in.Srcs[j] = p.operandFor(sp, in.Dsts, pc)
-		}
 	}
 	return in, nil
 }

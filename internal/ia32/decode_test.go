@@ -2,6 +2,8 @@ package ia32
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -351,6 +353,98 @@ func TestDecodeOperandListsIndependent(t *testing.T) {
 	for n := range want {
 		if !in.Srcs[n].Equal(want[n]) {
 			t.Fatalf("src %d = %v after appending to Dsts, want %v", n, in.Srcs[n], want[n])
+		}
+	}
+}
+
+// decodeOperandsDiff decodes mem at pc with both DecodeOperands and Decode
+// and describes the first way they disagree (error, opcode, length,
+// operand counts, any operand), or returns "". ops starts out holding stale
+// operands, which DecodeOperands must overwrite.
+func decodeOperandsDiff(mem []byte, pc uint32) string {
+	var ops [MaxOperands]Operand
+	for i := range ops {
+		ops[i] = MemOp(EBP, ESI, 8, -99, 2)
+	}
+	op, n, nd, ns, err := DecodeOperands(mem, pc, &ops)
+	in, err2 := Decode(mem, pc)
+	switch {
+	case (err == nil) != (err2 == nil):
+		return fmt.Sprintf("% x: errors %v / %v", mem, err, err2)
+	case err != nil:
+		return ""
+	case op != in.Op || n != int(in.Len):
+		return fmt.Sprintf("% x: %s len %d, Decode %s len %d", mem, op, n, in.Op, in.Len)
+	case nd != len(in.Dsts) || ns != len(in.Srcs):
+		return fmt.Sprintf("% x (%s): %d dsts %d srcs, Decode %d, %d", mem, &in, nd, ns, len(in.Dsts), len(in.Srcs))
+	}
+	for i, o := range in.Dsts {
+		if ops[i] != o {
+			return fmt.Sprintf("% x (%s): dst %d %+v, Decode %+v", mem, &in, i, ops[i], o)
+		}
+	}
+	for i, o := range in.Srcs {
+		if ops[nd+i] != o {
+			return fmt.Sprintf("% x (%s): src %d %+v, Decode %+v", mem, &in, i, ops[nd+i], o)
+		}
+	}
+	return ""
+}
+
+// TestDecodeOperandsMatchesDecode checks that the allocation-free entry
+// and Decode agree on the error, opcode, length and every operand: for every
+// template of the table, in each ModRM form (register, SIB, disp8, disp32,
+// absolute) with random register fields, immediates and displacements, and
+// on random byte strings of every length up to 16.
+func TestDecodeOperandsMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const pc = 0x08048000
+	for _, tm := range templates {
+		hit := false
+		// ModRM forms by mod and r/m (-1: a random register other than
+		// ESP, whose r/m encoding means a SIB byte follows).
+		for _, form := range []struct{ mod, rm int }{{3, -1}, {0, 4}, {1, -1}, {2, -1}, {0, 5}} {
+			if !tm.ModRM && form.mod != 3 {
+				continue
+			}
+			for range 8 {
+				mem := append([]byte(nil), tm.Opc...)
+				if tm.PlusReg {
+					mem[len(mem)-1] += byte(rng.Intn(8))
+				}
+				if tm.ModRM {
+					reg, rm := rng.Intn(8), form.rm
+					if tm.Ext >= 0 {
+						reg = int(tm.Ext)
+					}
+					if rm < 0 {
+						rm = []int{0, 1, 2, 3, 5, 6, 7}[rng.Intn(7)]
+					}
+					mem = append(mem, byte(form.mod<<6|reg<<3|rm))
+				}
+				for range 10 {
+					mem = append(mem, byte(rng.Intn(256)))
+				}
+				if d := decodeOperandsDiff(mem, pc); d != "" {
+					t.Fatalf("%s template: %s", tm.Op, d)
+				}
+				if in, err := Decode(mem, pc); err == nil && in.Tmpl == tm {
+					hit = true
+				}
+			}
+		}
+		if !hit {
+			t.Errorf("%s template %x: no generated form decoded to it", tm.Op, tm.Opc)
+		}
+	}
+	buf := make([]byte, 16)
+	for range 100000 {
+		mem := buf[:1+rng.Intn(len(buf))]
+		for j := range mem {
+			mem[j] = byte(rng.Intn(256))
+		}
+		if d := decodeOperandsDiff(mem, pc); d != "" {
+			t.Fatal(d)
 		}
 	}
 }

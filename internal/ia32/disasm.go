@@ -64,8 +64,14 @@ func init() {
 
 // verifyTables checks structural invariants of the template table that the
 // decoder relies on: all templates reachable from one dispatch key agree on
-// ModRM presence, and /digit templates under a key do not collide.
+// ModRM presence, /digit templates under a key do not collide, and no
+// template has more than MaxOperands operands.
 func verifyTables() {
+	for _, tm := range templates {
+		if len(tm.Dsts)+len(tm.Srcs) > MaxOperands {
+			panic(fmt.Sprintf("ia32: %s template has more than MaxOperands operands", tm.Op))
+		}
+	}
 	for key, cands := range decodeTable {
 		if len(cands) == 0 {
 			continue

@@ -8,7 +8,9 @@
 //
 //   - BoundaryLen: find the instruction length only (Levels 0 and 1)
 //   - DecodeOpcode: length, opcode and eflags effects (Level 2)
-//   - Decode: full decode of all operands, explicit and implicit (Level 3)
+//   - Decode: full decode of all operands, explicit and implicit (Level 3),
+//     on top of DecodeOperands, which writes them into caller storage
+//     without allocating
 //
 // and a template-matching encoder (Encode) that walks the operand lists of an
 // instruction and searches the opcode's encoding templates for one that

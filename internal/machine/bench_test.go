@@ -84,3 +84,45 @@ func TestMachineNewAllocatesUnder1MiB(t *testing.T) {
 		t.Errorf("machine.New allocates %d KiB, want under 1024 KiB", per>>10)
 	}
 }
+
+// redecodeStep returns a step that rewrites "add ebx, 1" at 0x1000 with its
+// own bytes and executes it: the write drops the decode, so every call is a
+// decode miss, and the thread's run counts them.
+func redecodeStep(tb testing.TB) (step func(), m *machine.Machine) {
+	m = machine.New(machine.PentiumIV())
+	t := m.Threads[0]
+	code := []byte{0x81, 0xC3, 0x01, 0x00, 0x00, 0x00}
+	return func() {
+		m.Mem.WriteBytes(0x1000, code)
+		t.CPU.EIP = 0x1000
+		if err := m.Step(t); err != nil {
+			tb.Fatal(err)
+		}
+	}, m
+}
+
+// BenchmarkRedecode measures one write-driven decode miss in steady state:
+// a write that drops a decode, the re-decode and one execution. It reports
+// allocs/op, which is 0 while dropped decodes are recycled.
+func BenchmarkRedecode(b *testing.B) {
+	step, _ := redecodeStep(b)
+	step() // the page, its decode tables and the first decode
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestRedecodeAllocatesNothing: once a decode has been dropped, the next
+// miss reuses it, so a steady-state re-decode allocates nothing.
+func TestRedecodeAllocatesNothing(t *testing.T) {
+	step, m := redecodeStep(t)
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("a steady-state re-decode allocates %v objects, want 0", n)
+	}
+	if got := m.Stats.DecodeMisses; got != 102 {
+		t.Errorf("decode misses = %d, want 102 (every step re-decodes)", got)
+	}
+}

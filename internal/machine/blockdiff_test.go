@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fuzz"
+	"repro/internal/image"
 	"repro/internal/machine"
 	"repro/internal/oracle"
 	"repro/internal/workload"
@@ -135,5 +136,76 @@ func TestBlockVsStepFuzz(t *testing.T) {
 			checkBlockVsStep(t, oracle.Case{Image: c.Image})
 			t.Run("armed", func(t *testing.T) { checkBlockVsStep(t, c) })
 		})
+	}
+}
+
+// rewriteMidRunSource loops 64 times over a straight-line run. In every
+// even iteration it rewrites the imm32 of Q ("add edx, imm") and then of P
+// ("add ebx, imm", in the middle of the run that starts at loop), Q first,
+// so that Q's re-decode, right after the stores, reuses P's dropped decode.
+// A link left in P's predecessor would then run Q in P's place; a reused
+// decode that kept its free-list link as succ would, in the next odd
+// iteration, run a dropped decode after Q. It prints ebx and edx.
+const rewriteMidRunSource = `
+main:
+    mov ecx, 64
+    xor ebx, ebx
+    xor edx, edx
+loop:
+    mov eax, ecx
+    add ebx, eax
+patch:
+    add ebx, 0x01010101
+    add ebx, eax
+    test ecx, 1
+    jnz skip
+    mov [qpatch+2], ecx
+    mov [patch+2], eax
+skip:
+    add edx, ebx
+qpatch:
+    add edx, 0x02020202
+    xor edx, ecx
+    dec ecx
+    jnz loop
+    mov eax, 3
+    int 0x80
+    mov eax, 2
+    mov ebx, 32
+    int 0x80
+    mov ebx, edx
+    mov eax, 3
+    int 0x80
+    mov eax, 1
+    mov ebx, 0
+    int 0x80
+`
+
+// TestBlockVsStepRewriteMidRun runs rewriteMidRunSource through the block
+// runner and one Step at a time, natively and under the runtime, and
+// requires both to print what the loop's arithmetic gives.
+func TestBlockVsStepRewriteMidRun(t *testing.T) {
+	img, err := image.Assemble("rewrite", rewriteMidRunSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlockVsStep(t, oracle.Case{Name: "rewrite", Image: img})
+	var ebx, edx uint32
+	p, q := uint32(0x01010101), uint32(0x02020202)
+	for ecx := uint32(64); ecx > 0; ecx-- {
+		ebx += ecx + p + ecx
+		if ecx&1 == 0 {
+			q, p = ecx, ecx
+		}
+		edx = (edx + ebx + q) ^ ecx
+	}
+	for _, stepOnly := range []bool{false, true} {
+		e, err := runEndpoint(oracle.Case{Image: img}, nil, stepOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.State.Output, fmt.Sprintf("%d %d", ebx, edx); got != want {
+			t.Errorf("stepOnly=%v: output %q, want %q", stepOnly, got, want)
+		}
 	}
 }

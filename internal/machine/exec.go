@@ -155,17 +155,13 @@ func condHolds(cc uint8, f uint32) bool {
 }
 
 // opSizeOf returns the operation size of an instruction from its first
-// explicit operand.
-func opSizeOf(in *ia32.Inst) uint8 {
-	if len(in.Dsts) > 0 {
-		if s := opndSize(&in.Dsts[0]); s != 0 {
-			return s
-		}
+// explicit operand (an absent operand is the zero Operand, of size 0).
+func opSizeOf(in *inst) uint8 {
+	if s := opndSize(&in.Dsts[0]); s != 0 {
+		return s
 	}
-	if len(in.Srcs) > 0 {
-		if s := opndSize(&in.Srcs[0]); s != 0 {
-			return s
-		}
+	if s := opndSize(&in.Srcs[0]); s != 0 {
+		return s
 	}
 	return 4
 }
@@ -270,7 +266,7 @@ func (m *Machine) resolve(ci *cachedInst, pc Addr) {
 	case ia32.OpMovsx:
 		ci.size = opndSize(&in.Srcs[0])
 	case ia32.OpJmp, ia32.OpCall:
-		ci.target, _ = in.Target()
+		ci.target = in.Srcs[0].PC
 	case ia32.OpRet:
 		if in.Srcs[0].Kind == ia32.OperandImm { // ret imm16: extra stack pop
 			ci.target = uint32(in.Srcs[0].Imm) & 0xffff
@@ -284,7 +280,7 @@ func (m *Machine) resolve(ci *cachedInst, pc Addr) {
 			ci.cc = cc
 		} else if cc, ok := in.Op.CondCode(); ok {
 			ci.cc = cc
-			ci.target, _ = in.Target()
+			ci.target = in.Srcs[0].PC
 		}
 	}
 	specialize(ci)

@@ -200,19 +200,22 @@ type Stats struct {
 }
 
 // cachedInst is one decoded instruction, stored in the decode table of the
-// page it was fetched from (see page.code): the decoded instruction plus the
-// execution state resolved once at decode time — the thunk (fn), the
-// fall-through EIP, the profile's base cost, and the operand properties the
-// thunk would otherwise re-derive on every step. Every write to memory drops
-// the decodes it overlaps, which is what keeps fused dispatch correct under
-// self-modifying code (fragment replacement, InvalidateRange).
+// page it was fetched from (see page.code): the instruction in the
+// machine's own form (inst) plus the execution state resolved once at
+// decode time — the thunk (fn), the fall-through EIP, the profile's base
+// cost, and the operand properties the thunk would otherwise re-derive on
+// every step. It is one object with no pointer into the decoder's tables.
+// Every write to memory drops the decodes it overlaps, which is what keeps
+// fused dispatch correct under self-modifying code (fragment replacement,
+// InvalidateRange); a dropped decode goes on Memory.free, and decode
+// reuses it, reset, for the next miss.
 type cachedInst struct {
-	inst ia32.Inst
-	fn   execThunk
+	fn execThunk
 	// succ is the decode at next, linked by the block runner the first time
 	// execution falls through to it (see link). Links stay within one
-	// 256-byte chunk, and dropping any decode of a chunk clears every succ
-	// in it, so a link never outlives the decode it points to.
+	// 256-byte chunk, and dropping a decode clears every succ that names
+	// it, so a link never outlives the decode it points to. On the free
+	// list succ links the dropped decodes instead.
 	succ   *cachedInst
 	next   Addr   // EIP after fall-through (entry pc + inst.Len)
 	target Addr   // direct CTI target; ret: imm16 stack adjustment
@@ -222,6 +225,20 @@ type cachedInst struct {
 	cc     uint8  // condition code (jcc/setcc/cmovcc); int: vector
 	r1     uint8  // register-file indices for specialized register thunks
 	r2     uint8
+	// inst comes last, so that the fields above, which the block runner
+	// and every specialized thunk read, sit together in the first 40 bytes.
+	inst inst
+}
+
+// inst is the part of a decoded instruction that resolve, specialize and
+// the thunks read: the opcode, the length, and the first two destination
+// and source operands in ia32.Decode's order. No thunk reads a third
+// operand; a slot past an instruction's operand count is the zero Operand.
+type inst struct {
+	Dsts [2]ia32.Operand
+	Srcs [2]ia32.Operand
+	Op   ia32.Opcode
+	Len  uint8
 }
 
 // New returns a machine with the given cost profile and one initial thread.
@@ -310,20 +327,33 @@ func (m *Machine) Now() uint64 { return uint64(m.Ticks) }
 // decode decodes the instruction at pc and stores it in the decode table
 // of its page, where Step finds it until a write overlapping its bytes
 // drops it (see Memory.dropCode). Step calls it only on a miss. It returns
-// nil if the bytes at pc do not decode.
+// nil if the bytes at pc do not decode. The decode reuses a dropped one
+// from Memory.free when there is one, so in steady state a miss allocates
+// nothing, and the decodes ever allocated never outnumber the most ever
+// live at once.
 func (m *Machine) decode(pc Addr) *cachedInst {
 	m.Stats.DecodeMisses++
 	var buf [maxInstLen]byte
-	inst, err := ia32.Decode(m.Mem.Fetch(pc, buf[:]), pc)
+	var ops [ia32.MaxOperands]ia32.Operand
+	op, n, nd, ns, err := ia32.DecodeOperands(m.Mem.Fetch(pc, buf[:]), pc, &ops)
 	if err != nil {
 		return nil
 	}
-	if end := pc + Addr(inst.Len) - 1; end>>pageShift != pc>>pageShift {
+	if end := pc + Addr(n) - 1; end>>pageShift != pc>>pageShift {
 		// Writes look for overlapped decodes only on pages that have a
 		// table; give the tail's page one so that writes there find this.
 		m.Mem.codeSlot(end)
 	}
-	ci := &cachedInst{inst: inst}
+	ci := m.Mem.free
+	if ci != nil {
+		m.Mem.free = ci.succ
+		*ci = cachedInst{} // nothing of the dropped decode survives
+	} else {
+		ci = new(cachedInst)
+	}
+	ci.inst.Op, ci.inst.Len = op, uint8(n)
+	copy(ci.inst.Dsts[:], ops[:nd])
+	copy(ci.inst.Srcs[:], ops[nd:nd+ns])
 	m.resolve(ci, pc)
 	*m.Mem.codeSlot(pc) = ci
 	return ci

@@ -87,10 +87,17 @@ type Memory struct {
 	// check permissions only when it is nonzero.
 	protCount int
 
-	// drops counts the writes that dropped a decode (dropCode). The block
+	// drops counts the decodes dropped by writes (dropCode). The block
 	// runner ends a run when it changes, so a store into running code is
 	// seen at the next instruction boundary.
 	drops uint64
+
+	// free is the list of dropped decodes, linked through succ, that
+	// Machine.decode reuses before it allocates. A decode on it may still
+	// be executing (a store into its own bytes); the block runner reads
+	// nothing but drops after such a store, and nothing decodes inside a
+	// thunk, so it is reset only when it is reused.
+	free *cachedInst
 }
 
 // Protect sets the restriction bits for every page overlapping [lo, hi).
@@ -292,9 +299,11 @@ func (m *Memory) wrote(p *page, a, n Addr) {
 // dropCode drops exactly the decodes that overlap the n bytes written at
 // a: every one starting in [a, a+n), and those starting up to maxInstLen-1
 // bytes before a that are long enough to reach it. Only chunks that have a
-// table are visited; the tables themselves stay for the next fetch. A chunk
-// that loses a decode loses all its succ links too (links never leave their
-// chunk), and the drop is counted for the block runner.
+// table are visited; the tables themselves stay for the next fetch. A
+// dropped decode goes on the free list, and every link into it is cleared:
+// links never leave their chunk, so those are the succ of decodes starting
+// in the maxInstLen-1 slots before it in the same chunk. Each drop is
+// counted for the block runner.
 func (m *Memory) dropCode(a, n Addr) {
 	const back = maxInstLen - 1
 	s, left := a-back, n+back // slots [s, s+left) may hold overlapping decodes
@@ -306,21 +315,18 @@ func (m *Memory) dropCode(a, n Addr) {
 			if t := p.code[o>>chunkShift]; t != nil {
 				lo := o & (chunkSize - 1)
 				d := n + back - left // distance from a-back to s
-				dropped := false
 				for i, ci := range t[lo : lo+min(k, left)] {
 					if ci != nil && d+Addr(i)+Addr(ci.inst.Len) > back {
-						t[lo+Addr(i)] = nil
-						dropped = true
-					}
-				}
-				if dropped {
-					// A link into this chunk may name a dropped decode.
-					for _, ci := range t {
-						if ci != nil {
-							ci.succ = nil
+						at := lo + Addr(i)
+						t[at] = nil
+						for _, pred := range t[max(at, back)-back : at] {
+							if pred != nil && pred.succ == ci {
+								pred.succ = nil
+							}
 						}
+						ci.succ, m.free = m.free, ci
+						m.drops++
 					}
-					m.drops++
 				}
 			}
 		}
